@@ -12,8 +12,9 @@
 //!
 //! - [`EngineKind::Events`] (default): the discrete-event kernel in
 //!   [`crate::events`] — a `BinaryHeap` of timestamped events (step starts,
-//!   slice expiries, HPC snapshots, process arrivals/departures). Only this
-//!   kernel supports mid-run process arrival and departure
+//!   slice expiries, HPC snapshots, process arrivals/departures), one heap
+//!   per busy die, each die on its own worker. Only this kernel supports
+//!   mid-run process arrival and departure
 //!   ([`crate::process::ProcessSpec::with_arrival`] /
 //!   [`with_departure`](crate::process::ProcessSpec::with_departure)).
 //! - [`EngineKind::Lockstep`]: the original min-clock scan, kept as the
@@ -456,7 +457,9 @@ pub fn simulate(
     let mut world = build_world(machine, placement, &opts)?;
     match opts.engine {
         EngineKind::Lockstep => run_lockstep(&mut world, machine),
-        EngineKind::Events => crate::events::run(&mut world, machine)?,
+        EngineKind::Events => {
+            crate::events::run(&mut world, machine)?;
+        }
     }
     Ok(finish(world, machine))
 }
@@ -639,6 +642,83 @@ fn build_world(
         context_switches: 0,
         slice_expiries: 0,
     })
+}
+
+impl SimWorld {
+    /// A world with this one's timing constants and power seed, the given
+    /// die state, and empty core and process tables.
+    fn sub_world(&self, l2: SetAssocCache, prefetcher: Option<NextLinePrefetcher>) -> SimWorld {
+        SimWorld {
+            procs: Vec::new(),
+            cores: Vec::new(),
+            l2s: vec![l2],
+            prefetchers: vec![prefetcher],
+            end_cycles: self.end_cycles,
+            warmup_cycles: self.warmup_cycles,
+            period_cycles: self.period_cycles,
+            num_buckets: self.num_buckets,
+            timeslice: self.timeslice,
+            power_seed: self.power_seed,
+            context_switches: 0,
+            slice_expiries: 0,
+        }
+    }
+
+    /// Moves this world's state into one single-die sub-world per die, in
+    /// die order, and leaves `self` with empty tables.
+    ///
+    /// A die owns a contiguous range of cores (`MachineConfig::die_of`)
+    /// and `build_world` flattens processes in core order, so each die's
+    /// cores and processes are contiguous runs of the world's tables. A
+    /// sub-world indexes them locally, by subtracting the start of the
+    /// run; process ids stay global, because the L2 keys line ownership
+    /// and way quotas by them.
+    pub(crate) fn split_by_die(&mut self) -> Vec<SimWorld> {
+        debug_assert!(self.cores.windows(2).all(|w| w[0].die <= w[1].die), "dies not contiguous");
+        let mut dies: Vec<SimWorld> = std::mem::take(&mut self.l2s)
+            .into_iter()
+            .zip(std::mem::take(&mut self.prefetchers))
+            .map(|(l2, prefetcher)| self.sub_world(l2, prefetcher))
+            .collect();
+        // Both die columns are sorted, so a die's run starts where the
+        // earlier dies' entries end.
+        let core_die: Vec<usize> = self.cores.iter().map(|c| c.die).collect();
+        let proc_die: Vec<usize> = self.procs.iter().map(|p| core_die[p.core]).collect();
+        for mut core in std::mem::take(&mut self.cores) {
+            let die = core.die;
+            let first_proc = proc_die.partition_point(|&d| d < die);
+            core.die = 0;
+            core.run.iter_mut().for_each(|pi| *pi -= first_proc);
+            dies[die].cores.push(core);
+        }
+        for (mut p, die) in std::mem::take(&mut self.procs).into_iter().zip(proc_die) {
+            p.core -= core_die.partition_point(|&d| d < die);
+            dies[die].procs.push(p);
+        }
+        dies
+    }
+
+    /// Inverse of [`SimWorld::split_by_die`]: appends the sub-worlds, which
+    /// must come in die order, back to the tables with global indices, and
+    /// sums their context-switch and slice-expiry counts.
+    pub(crate) fn merge_dies(&mut self, dies: Vec<SimWorld>) {
+        for (die, mut sub) in dies.into_iter().enumerate() {
+            let (core_start, proc_start) = (self.cores.len(), self.procs.len());
+            for mut core in sub.cores {
+                core.die = die;
+                core.run.iter_mut().for_each(|pi| *pi += proc_start);
+                self.cores.push(core);
+            }
+            for mut p in sub.procs {
+                p.core += core_start;
+                self.procs.push(p);
+            }
+            self.l2s.append(&mut sub.l2s);
+            self.prefetchers.append(&mut sub.prefetchers);
+            self.context_switches += sub.context_switches;
+            self.slice_expiries += sub.slice_expiries;
+        }
+    }
 }
 
 /// Records one occupancy snapshot at global time `at` for every resident

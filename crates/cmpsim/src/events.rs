@@ -30,29 +30,58 @@
 //! the kernel is insertion-order deterministic (pinned by tests here and
 //! the scrambled-placement battery in `tests/parallel_determinism.rs`).
 //!
+//! # Termination
+//!
+//! A loop ends on a live-core count, not on heap exhaustion: it stops
+//! right after the event that retires its last live core, either the step
+//! that carries the core's clock past the end of the run or the departure
+//! that empties it for good. Snapshots and expiries queued past that event
+//! never fire, matching the lockstep loop's exit before its trailing
+//! checks. The loop reports where it stopped as a [`LoopEnd`].
+//!
+//! # Per-die decomposition
+//!
+//! [`run`] does not drive the whole machine through one heap. Dies share
+//! nothing at run time: each has its own L2 and prefetcher, memory
+//! latency is a constant, and every process RNG is seeded before the
+//! first step. So the world splits into one sub-world per busy die, each
+//! runs the same loop ([`run_from`]) on its own worker, and the pieces
+//! merge back in die order. Two things couple dies in the single loop,
+//! and the merge restores both:
+//!
+//! - switch and expiry counts are sums, so the per-die counts add up;
+//! - snapshots are global: the single loop keeps firing them until the
+//!   last core *anywhere* retires. A die that finished earlier has a
+//!   frozen L2 from then on, so its missing snapshots are the grid points
+//!   whose key lies between its own [`LoopEnd`] and the latest one across
+//!   dies, taken on that frozen cache afterwards.
+//!
 //! # Oracle parity
 //!
 //! With no arrivals/departures this kernel reproduces the lockstep engine
-//! bit-exactly: both execute the identical step sequence (steps fire in
-//! global start-time order in each), charge the same cycles from the same
-//! per-process RNG streams, rotate schedulers at the same boundaries, and
-//! snapshot occupancy on the same frontier. The seeded parity corpus in
-//! `tests/parallel_determinism.rs` asserts `SimResult` equality outright.
+//! bit-exactly: on every die both execute the identical step sequence
+//! (steps fire in start-time order against the die's L2), charge the same
+//! cycles from the same per-process RNG streams, rotate schedulers at the
+//! same boundaries, and snapshot occupancy on the same frontier. The
+//! seeded parity corpus in `tests/parallel_determinism.rs` asserts
+//! `SimResult` equality outright.
 
 use crate::engine::{snapshot_occupancy, step_core, SimError, SimWorld};
 use crate::machine::MachineConfig;
 use crate::sched::TimeSliceScheduler;
 use crate::types::Cycles;
+use mathkit::parallel::try_par_map;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 /// What a queued event does when it fires. Payloads are indices into the
-/// world's process/core tables.
+/// process/core tables of the world the loop runs, which is one die's
+/// sub-world in production.
 #[derive(Debug, Clone, Copy)]
 enum EventKind {
-    /// Process `pid` (global index) leaves its core's run queue.
+    /// Process `pid` leaves its core's run queue.
     Departure(usize),
-    /// Process `pid` (global index) joins its core's run queue.
+    /// Process `pid` joins its core's run queue.
     Arrival(usize),
     /// Global occupancy snapshot on the sampling grid.
     Snapshot,
@@ -111,7 +140,20 @@ impl PartialEq for QueuedEvent {
 
 impl Eq for QueuedEvent {}
 
-/// Runs the world to completion on the event kernel.
+/// Where an event loop stopped (see the module docs on termination).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LoopEnd {
+    /// `(time, seq)` of the last event popped; `None` if no core was live.
+    last: Option<(Cycles, u64)>,
+    /// The snapshot time queued but not fired.
+    next_snapshot: Cycles,
+}
+
+/// Runs the world to completion on the event kernel, each busy die on its
+/// own worker (see the module docs on the per-die decomposition). Workers
+/// come from `mathkit::parallel`; one busy die runs inline.
+///
+/// Returns how many trailing snapshots were taken on finished dies.
 ///
 /// # Errors
 ///
@@ -119,9 +161,38 @@ impl Eq for QueuedEvent {}
 /// weight was validated at build time, so errors are unreachable in
 /// practice; they are propagated rather than panicking to honor the
 /// crate's panic-freedom policy.
-pub(crate) fn run(world: &mut SimWorld, machine: &MachineConfig) -> Result<(), SimError> {
-    let initial = seed_events(world);
-    run_from(world, machine, initial)
+pub(crate) fn run(world: &mut SimWorld, machine: &MachineConfig) -> Result<usize, SimError> {
+    let mut dies = world.split_by_die();
+    let busy: Vec<&mut SimWorld> = dies.iter_mut().filter(|die| !die.procs.is_empty()).collect();
+    let ran = try_par_map(busy, 0, |_, die| {
+        let initial = seed_events(die);
+        run_from(die, machine, initial).map(|end| (die, end))
+    })?;
+    // The single loop would have stopped at the latest end across dies.
+    let mut trailing = 0;
+    if let Some(last) = ran.iter().filter_map(|(_, end)| end.last).max() {
+        for (die, end) in ran {
+            trailing += fire_trailing_snapshots(die, end.next_snapshot, last);
+        }
+    }
+    world.merge_dies(dies);
+    Ok(trailing)
+}
+
+/// Takes the snapshots a finished die missed: grid points from `from` on
+/// whose key precedes `until`, the key the single loop would have stopped
+/// at. Keys compare correctly across dies although their identities are
+/// die-local: a loop only ends on a departure or a step, and the snapshot
+/// band lies strictly between those two bands. Returns how many it took.
+fn fire_trailing_snapshots(world: &mut SimWorld, from: Cycles, until: (Cycles, u64)) -> usize {
+    let mut at = from;
+    let mut taken = 0;
+    while (at, EventKind::Snapshot.seq()) < until {
+        snapshot_occupancy(world, at);
+        at += world.period_cycles;
+        taken += 1;
+    }
+    taken
 }
 
 /// The initial event set: one `StepReady` per running core, the first
@@ -149,12 +220,12 @@ fn seed_events(world: &SimWorld) -> Vec<QueuedEvent> {
 }
 
 /// The event loop proper, generic over the initial event order so tests
-/// can scramble it.
+/// can scramble it. Runs any world, one die or the whole machine.
 fn run_from(
     world: &mut SimWorld,
     machine: &MachineConfig,
     initial: Vec<QueuedEvent>,
-) -> Result<(), SimError> {
+) -> Result<LoopEnd, SimError> {
     let mut heap: BinaryHeap<Reverse<QueuedEvent>> = BinaryHeap::with_capacity(initial.len() + 8);
     for ev in initial {
         heap.push(Reverse(ev));
@@ -162,18 +233,21 @@ fn run_from(
     // Whether a StepReady is already queued for each core (at most one).
     let mut step_pending: Vec<bool> = world.cores.iter().map(|c| !c.run.is_empty()).collect();
     // Cores that can still start a step now or in the future. When this
-    // hits zero the run is over; trailing snapshots/expiries never fire,
-    // matching the lockstep loop's exit before its trailing checks.
+    // hits zero the run is over (see the module docs on termination).
     let mut live = world.cores.iter().filter(|c| !c.done).count();
+    // `seed_events` queues the first snapshot one period in.
+    let mut end = LoopEnd { last: None, next_snapshot: world.period_cycles };
 
     while live > 0 {
         let Some(Reverse(ev)) = heap.pop() else {
             debug_assert!(false, "live cores but an empty event heap");
             break;
         };
+        end.last = Some((ev.time, ev.seq));
         match ev.kind {
             EventKind::Snapshot => {
                 snapshot_occupancy(world, ev.time);
+                end.next_snapshot = ev.time + world.period_cycles;
                 heap.push(Reverse(QueuedEvent::new(
                     ev.time + world.period_cycles,
                     EventKind::Snapshot,
@@ -294,13 +368,14 @@ fn run_from(
         .iter()
         .map(|c| c.retired_expiries + c.sched.as_ref().map_or(0, TimeSliceScheduler::expiries))
         .sum();
-    Ok(())
+    Ok(end)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{simulate, Placement, SimOptions, SimResult};
+    use crate::engine::testutil::{build_world_for_tests, finish_for_tests};
+    use crate::engine::{simulate, EngineKind, Placement, SimOptions, SimResult};
     use crate::machine::MachineConfig;
     use crate::process::testutil::CyclicGenerator;
     use crate::process::ProcessSpec;
@@ -373,14 +448,102 @@ mod tests {
         // Drives the kernel with a rotated initial-event order through the
         // internal seam; results must not depend on insertion order.
         let m = machine();
-        let world_opts = opts();
-        let mut world =
-            crate::engine::testutil::build_world_for_tests(&m, churn_placement(), &world_opts);
+        let mut world = build_world_for_tests(&m, churn_placement(), &opts());
         let mut initial = seed_events(&world);
         let split = rotate % initial.len();
         initial.rotate_left(split);
         run_from(&mut world, &m, initial).unwrap();
-        crate::engine::testutil::finish_for_tests(world, &m)
+        finish_for_tests(world, &m)
+    }
+
+    /// Runs `placement` both ways: per die through [`run`], and as one
+    /// whole-machine loop through [`run_from`]. Returns both results and
+    /// the number of trailing snapshots the per-die run took.
+    fn per_die_and_whole(
+        m: &MachineConfig,
+        placement: impl Fn() -> Placement,
+        o: &SimOptions,
+    ) -> (SimResult, SimResult, usize) {
+        let mut world = build_world_for_tests(m, placement(), o);
+        let trailing = run(&mut world, m).unwrap();
+        let per_die = finish_for_tests(world, m);
+        let mut whole = build_world_for_tests(m, placement(), o);
+        let initial = seed_events(&whole);
+        run_from(&mut whole, m, initial).unwrap();
+        (per_die, finish_for_tests(whole, m), trailing)
+    }
+
+    fn server() -> MachineConfig {
+        MachineConfig {
+            l2_sets: 16,
+            l2_assoc: 4,
+            timeslice_s: 0.01,
+            ..MachineConfig::four_core_server()
+        }
+    }
+
+    #[test]
+    fn trailing_snapshots_fire_on_a_finished_die() {
+        // Footprints fit the 64-line L2s and gaps are fixed, so step start
+        // times are exact. Die 0's only process misses on every step (16
+        // distinct lines, 12 steps), each step taking 100_000 + 240
+        // cycles: its last step starts at 11 * 100_240 = 1_102_640 of the
+        // run's 1_200_000 cycles. Die 1 steps every few dozen cycles up to
+        // the end. The 1 ms (24_000-cycle) grid points 1_104_000 through
+        // 1_176_000 fall in between, so die 0's loop stops before them and
+        // they must be taken on its frozen L2, where its occupancy (12 of
+        // 16 sets filled) differs from every earlier snapshot's.
+        let m = MachineConfig { sample_period_s: 0.001, ..server() };
+        let placement = || {
+            let mut pl = Placement::idle(4);
+            pl.assign(0, cyclic("slow", 0, 16, 100_000)).unwrap();
+            pl.assign(2, cyclic("fast", 9_000, 16, 20)).unwrap();
+            pl.assign(2, cyclic("shared", 19_000, 24, 30)).unwrap();
+            pl
+        };
+        let o = SimOptions { duration_s: 0.05, warmup_s: 0.01, seed: 3, ..Default::default() };
+        let (per_die, whole, trailing) = per_die_and_whole(&m, placement, &o);
+        assert_eq!(trailing, 4);
+        assert_eq!(per_die, whole);
+        let lockstep = simulate(&m, placement(), SimOptions { engine: EngineKind::Lockstep, ..o });
+        assert_eq!(per_die, lockstep.unwrap());
+        assert!(per_die.context_switches > 0);
+    }
+
+    /// Arrivals and departures on both dies of the server; die 0 empties
+    /// for good a third of the way in.
+    fn server_churn_placement() -> Placement {
+        let end = (0.25 * server().freq_hz) as u64;
+        let mut pl = Placement::idle(4);
+        pl.assign(0, cyclic("d0-resident", 0, 24, 20).with_departure(end / 4)).unwrap();
+        pl.assign(
+            0,
+            cyclic("d0-visitor", 3_000, 16, 25).with_arrival(end / 10).with_departure(end / 3),
+        )
+        .unwrap();
+        pl.assign(1, cyclic("d0-brief", 6_000, 32, 30).with_departure(end / 5)).unwrap();
+        pl.assign(2, cyclic("d1-resident", 10_000, 48, 20)).unwrap();
+        pl.assign(2, cyclic("d1-late", 14_000, 16, 35).with_arrival(end / 3)).unwrap();
+        pl.assign(
+            3,
+            cyclic("d1-visitor", 18_000, 24, 30).with_arrival(end / 5).with_departure(2 * end / 3),
+        )
+        .unwrap();
+        pl
+    }
+
+    #[test]
+    fn two_die_churn_matches_the_whole_machine_loop() {
+        // The lockstep oracle rejects churn, so the whole-machine loop is
+        // the reference here.
+        let (per_die, whole, trailing) =
+            per_die_and_whole(&server(), server_churn_placement, &opts());
+        assert_eq!(per_die, whole);
+        // Die 0 stopped early, so the snapshots after it were trailing.
+        assert!(trailing > 0);
+        assert!(per_die.processes.iter().all(|p| p.counters.instructions > 0));
+        assert!(per_die.context_switches > 0);
+        assert_eq!(simulate(&server(), server_churn_placement(), opts()).unwrap(), per_die);
     }
 
     #[test]

@@ -36,6 +36,12 @@ pub struct Step {
 ///
 /// Generators are driven by the engine's per-process RNG so that whole
 /// simulations are reproducible from a single seed.
+///
+/// A generator must not share mutable state with another process's
+/// generator (through an `Arc<Mutex<_>>`, an atomic, a global, ...). The
+/// event engine steps each die's processes on its own thread, in no fixed
+/// order relative to other dies, so shared state would make a run depend
+/// on thread timing. State a generator owns is fine.
 pub trait AccessGenerator: Send {
     /// Produces the next step of the process.
     fn next_step(&mut self, rng: &mut dyn RngCore) -> Step;

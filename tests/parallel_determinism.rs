@@ -624,6 +624,137 @@ mod event_kernel {
         }
     }
 
+    /// A churn placement on the four-core server, built by assigning cores
+    /// in the given order: arrivals and departures on both dies, and die
+    /// 0 empty for good halfway through while die 1 runs to the end.
+    fn server_churn_placement(m: &MachineConfig, core_order: &[usize]) -> Placement {
+        use SpecWorkload::{Art, Equake, Gzip, Mcf, Twolf, Vpr};
+        let end = (0.08 * m.freq_hz) as u64;
+        let mut pl = Placement::idle(4);
+        for &c in core_order {
+            let specs = match c {
+                0 => vec![
+                    spec(Mcf, m.l2_sets, 1).with_departure(end / 2),
+                    spec(Gzip, m.l2_sets, 2).with_arrival(end / 5).with_departure(end / 3),
+                ],
+                1 => vec![spec(Art, m.l2_sets, 3).with_arrival(end / 6).with_departure(end / 4)],
+                2 => vec![spec(Twolf, m.l2_sets, 4), spec(Vpr, m.l2_sets, 5).with_arrival(end / 3)],
+                _ => vec![spec(Equake, m.l2_sets, 6).with_departure(3 * end / 4)],
+            };
+            for s in specs {
+                pl.assign(c, s).unwrap();
+            }
+        }
+        pl
+    }
+
+    fn server_churn_opts() -> SimOptions {
+        SimOptions { duration_s: 0.08, warmup_s: 0.02, seed: 808, ..SimOptions::default() }
+    }
+
+    /// The server churn case runs each die on its own worker: it must be
+    /// invariant to construction order and to how many runs go in
+    /// parallel beside it.
+    #[test]
+    fn server_churn_runs_are_order_and_worker_count_invariant() {
+        let m = sliced(MachineConfig::four_core_server());
+        let run = |order: &[usize]| {
+            simulate(&m, server_churn_placement(&m, order), server_churn_opts()).unwrap()
+        };
+        let baseline = run(&[0, 1, 2, 3]);
+        assert!(baseline.context_switches > 0);
+        assert!(baseline.processes.iter().all(|p| p.counters.instructions > 0));
+        assert_eq!(baseline, run(&[3, 1, 2, 0]), "construction order leaked into the schedule");
+        for workers in WORKER_COUNTS {
+            let runs: Vec<SimResult> = par_map(vec![0u8; 4], workers, |_, _| run(&[2, 0, 3, 1]));
+            for (i, r) in runs.iter().enumerate() {
+                assert_eq!(r, &baseline, "server churn run {i} diverged at workers={workers}");
+            }
+        }
+    }
+
+    /// FNV-1a over 64-bit words.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn word(&mut self, x: u64) {
+            for b in x.to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+
+    /// A digest of every bit of a result: process ids, names, counters,
+    /// active time and `avg_ways`; every per-core rate sample; every power
+    /// sample; and the run-level counts.
+    fn result_digest(r: &SimResult) -> u64 {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        h.word(r.processes.len() as u64);
+        for p in &r.processes {
+            h.word(u64::from(p.pid.0));
+            p.name.bytes().for_each(|b| h.word(u64::from(b)));
+            h.word(p.core as u64);
+            let c = &p.counters;
+            for x in [
+                c.instructions,
+                c.l1_refs,
+                c.l2_refs,
+                c.l2_misses,
+                c.branches,
+                c.fp_ops,
+                c.prefetches,
+            ] {
+                h.word(x);
+            }
+            h.word(p.active_seconds.to_bits());
+            h.word(p.avg_ways.to_bits());
+        }
+        h.word(r.core_samples.len() as u64);
+        for samples in &r.core_samples {
+            h.word(samples.len() as u64);
+            for s in samples {
+                for x in [s.ips, s.l1rps, s.l2rps, s.l2mps, s.brps, s.fpps] {
+                    h.word(x.to_bits());
+                }
+            }
+        }
+        h.word(r.power.len() as u64);
+        for s in &r.power {
+            h.word(s.period as u64);
+            for x in [s.t_start, s.true_watts, s.measured_watts] {
+                h.word(x.to_bits());
+            }
+        }
+        for x in
+            [r.warmup_periods as u64, r.context_switches, r.slice_expiries, r.prefetches_issued]
+        {
+            h.word(x);
+        }
+        h.word(r.sample_period_s.to_bits());
+        h.0
+    }
+
+    /// The committed digests pin the simulator's bits without the
+    /// lockstep oracle: one per parity-corpus entry, then the server
+    /// churn case. An intended change of the simulator's output replaces
+    /// the file with the digests this test prints.
+    #[test]
+    fn golden_digests_pin_the_parity_corpus_and_server_churn() {
+        let golden: Vec<u64> = include_str!("golden/sim_parity_corpus.txt")
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .filter_map(|l| l.split_whitespace().next())
+            .map(|hex| u64::from_str_radix(hex, 16).expect("golden digests are hex"))
+            .collect();
+        let mut got: Vec<u64> =
+            (0..corpus().len()).map(|i| result_digest(&run(i, EngineKind::Events))).collect();
+        let m = sliced(MachineConfig::four_core_server());
+        let churn = simulate(&m, server_churn_placement(&m, &[0, 1, 2, 3]), server_churn_opts());
+        got.push(result_digest(&churn.unwrap()));
+        let printed: Vec<String> = got.iter().map(|d| format!("{d:016x}")).collect();
+        assert_eq!(got, golden, "simulator bits changed; digests now:\n{}", printed.join("\n"));
+    }
+
     /// The lockstep oracle stays compiled and refuses what it cannot
     /// express, rather than silently ignoring residency windows.
     #[test]
