@@ -5,7 +5,8 @@
 use bench::synthetic_feature;
 use cmpsim::machine::MachineConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mpmc_model::equilibrium;
+use mathkit::sync::CancelToken;
+use mpmc_model::equilibrium::{self, SolverKind};
 use mpmc_model::feature::FeatureVector;
 use std::hint::black_box;
 
@@ -33,7 +34,11 @@ fn bench_solvers(c: &mut Criterion) {
             b.iter(|| equilibrium::solve(black_box(&refs), 16).expect("solve"))
         });
         group.bench_with_input(BenchmarkId::new("newton", k), &k, |b, _| {
-            b.iter(|| equilibrium::solve_newton(black_box(&refs), 16).expect("solve"))
+            let never = CancelToken::never();
+            b.iter(|| {
+                equilibrium::solve_cancellable(black_box(&refs), 16, SolverKind::Newton, &never)
+                    .expect("solve")
+            })
         });
     }
     group.finish();

@@ -21,7 +21,8 @@ use bench::{synthetic_feature, synthetic_power_model, synthetic_profile};
 use cmpsim::engine::{simulate, EngineKind, Placement, SimOptions};
 use cmpsim::machine::MachineConfig;
 use cmpsim::process::ProcessSpec;
-use mpmc_model::equilibrium;
+use mathkit::sync::CancelToken;
+use mpmc_model::equilibrium::{self, SolverKind};
 use mpmc_model::feature::FeatureVector;
 use mpmc_model::profile::{ProfileOptions, Profiler};
 use std::fmt::Write as _;
@@ -339,16 +340,19 @@ fn bench_equilibrium(cfg: &Config) {
             iters
         });
         entries.push(entry(format!("bisection/{k}"), tb, nb, Some("solves/s"), reps));
+        let never = CancelToken::never();
         let (tn, nn) = measure(reps, || {
             for _ in 0..iters {
-                equilibrium::solve_newton(&refs, 16).expect("solve");
+                equilibrium::solve_cancellable(&refs, 16, SolverKind::Newton, &never)
+                    .expect("solve");
             }
             iters
         });
         entries.push(entry(format!("newton/{k}"), tn, nn, Some("solves/s"), reps));
     }
     // Batched solving: 16 distinct three-way co-run sets through
-    // solve_batch (shared scratch, single pass) vs one solve per set.
+    // the batch front door (shared scratch, single pass) vs one solve per
+    // set.
     let batch_feats: Vec<FeatureVector> = (0..8)
         .map(|i| {
             synthetic_feature(
@@ -370,9 +374,13 @@ fn bench_equilibrium(cfg: &Config) {
         })
         .collect();
     let batch_iters = iters / 10;
+    let never = CancelToken::never();
     let (tb, nb) = measure(reps, || {
         for _ in 0..batch_iters.max(1) {
-            equilibrium::solve_batch(&batch_sets, 16).expect("batch solve");
+            equilibrium::solve_batch_cancellable(&batch_sets, 16, SolverKind::Newton, 0, &never)
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()
+                .expect("batch solve");
         }
         batch_iters.max(1) * batch_sets.len() as u64
     });
@@ -389,7 +397,6 @@ fn bench_equilibrium(cfg: &Config) {
 }
 
 fn bench_optimize(cfg: &Config) {
-    use mathkit::sync::CancelToken;
     use mpmc_model::assignment::CombinedModel;
     use mpmc_model::optimize::{self, Objective, OptimizeOptions};
 

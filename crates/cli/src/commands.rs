@@ -8,8 +8,8 @@ use cmpsim::process::ProcessSpec;
 use cmpsim::trace::{miss_ratio_curve, stack_distance_histogram, Trace, TraceRecorder};
 use cmpsim::types::LineAddr;
 use mpmc_model::assignment::{Assignment, CombinedModel};
+use mpmc_model::equilibrium::{SolveOptions, SolverKind};
 use mpmc_model::perf::PerformanceModel;
-use mpmc_model::perf::SolverKind;
 use mpmc_model::persist;
 use mpmc_model::power::{build_training_set, CorePowerModel, TrainingOptions};
 use mpmc_model::profile::Profiler;
@@ -218,7 +218,8 @@ pub fn predict(args: &ParsedArgs) -> Result<String, CliError> {
         .iter()
         .map(|spec| resolve::feature(spec, &machine))
         .collect::<Result<_, _>>()?;
-    let model = PerformanceModel::new(machine.l2_assoc()).with_solver(SolverKind::Robust);
+    let model = PerformanceModel::new(machine.l2_assoc())
+        .with_solver(SolverKind::Robust(SolveOptions::default()));
     let eq = model.solve(&features).map_err(CliError::from)?;
     if args.flag("strict") && (eq.diagnostics.degraded || !eq.diagnostics.fallbacks.is_empty()) {
         return Err(CliError::strict(format!(

@@ -459,7 +459,7 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
                 features: idxs.iter().map(|&p| &profiles[p].feature).collect(),
             })
             .collect();
-        let results = self.perf.solve_batch_results(&corun_sets, workers, cancel);
+        let results = self.perf.solve_batch_cancellable(&corun_sets, workers, cancel);
         for (idxs, res) in missing.iter().zip(results) {
             match res {
                 Ok(eq) => {
@@ -597,7 +597,7 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
     }
 
     /// Batch-prestages the equilibrium memo cache for a set of candidate
-    /// assignments in one `solve_batch` pass (`workers = 0` means auto),
+    /// assignments in one `solve_batch_cancellable` pass (`workers = 0` means auto),
     /// so subsequent per-assignment estimates run mostly on cache hits.
     /// Invalid assignments are skipped — they report their own error when
     /// actually estimated. Estimates are bit-identical with or without

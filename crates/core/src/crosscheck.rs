@@ -17,11 +17,12 @@
 //! miss ratio; adding an idle process cannot change anyone's occupancy)
 //! and verify the model moves the right way.
 
-use crate::equilibrium::{self, Equilibrium, SolveOptions};
+use crate::equilibrium::{self, Equilibrium, SolveOptions, SolverKind};
 use crate::feature::FeatureVector;
 use crate::histogram::ReuseHistogram;
 use crate::spi::SpiModel;
 use crate::ModelError;
+use mathkit::sync::CancelToken;
 use std::fmt;
 
 /// Slack for capacity and bound checks: solver outer loops accept a
@@ -199,6 +200,15 @@ pub fn check_occupancy_invariants(f: &FeatureVector) -> Vec<Violation> {
     out
 }
 
+/// The robust chain at default budgets, the solver every check here runs.
+fn robust_equilibrium(
+    features: &[&FeatureVector],
+    assoc: usize,
+) -> Result<Equilibrium, ModelError> {
+    let kind = SolverKind::Robust(SolveOptions::default());
+    equilibrium::solve_cancellable(features, assoc, kind, &CancelToken::never())
+}
+
 /// Checks that the equilibrium is independent of process ordering: the
 /// same feature set solved in reversed and rotated order must yield
 /// *bit-identical* per-process results (sizes, window, filled flag) once
@@ -216,7 +226,7 @@ pub fn check_order_independence(
     if features.len() < 2 {
         return Ok(out);
     }
-    let base = equilibrium::solve_robust(features, assoc, &SolveOptions::default())?;
+    let base = robust_equilibrium(features, assoc)?;
     let k = features.len();
     let perms: [Vec<usize>; 2] = [
         (0..k).rev().collect(),
@@ -224,7 +234,7 @@ pub fn check_order_independence(
     ];
     for perm in &perms {
         let permuted: Vec<&FeatureVector> = perm.iter().map(|&i| features[i]).collect();
-        let eq = equilibrium::solve_robust(&permuted, assoc, &SolveOptions::default())?;
+        let eq = robust_equilibrium(&permuted, assoc)?;
         for (pi, &i) in perm.iter().enumerate() {
             if eq.sizes[pi].to_bits() != base.sizes[i].to_bits()
                 || eq.spis[pi].to_bits() != base.spis[i].to_bits()
@@ -313,11 +323,11 @@ pub fn metamorphic_idle_process(
     features: &[&FeatureVector],
     assoc: usize,
 ) -> Result<Vec<Violation>, ModelError> {
-    let base = equilibrium::solve_robust(features, assoc, &SolveOptions::default())?;
+    let base = robust_equilibrium(features, assoc)?;
     let idle = idle_feature(assoc)?;
     let mut with_idle: Vec<&FeatureVector> = features.to_vec();
     with_idle.push(&idle);
-    let eq = equilibrium::solve_robust(&with_idle, assoc, &SolveOptions::default())?;
+    let eq = robust_equilibrium(&with_idle, assoc)?;
     let mut out = Vec::new();
     let k = features.len();
     if !mathkit::float::exactly_zero(eq.sizes[k]) || !mathkit::float::exactly_zero(eq.apss[k]) {
@@ -376,7 +386,7 @@ pub fn check_corun_set(
         out.extend(check_occupancy_invariants(f));
         out.extend(metamorphic_tail_scaling(f, 2.0)?);
     }
-    let eq = equilibrium::solve_robust(features, assoc, &SolveOptions::default())?;
+    let eq = robust_equilibrium(features, assoc)?;
     out.extend(check_equilibrium(features, assoc, &eq));
     out.extend(check_order_independence(features, assoc)?);
     out.extend(metamorphic_idle_process(features, assoc)?);

@@ -7,19 +7,27 @@
 //! `S_i = G_i(APS_i(S_i) * T)` with a *common* `T`, plus the capacity
 //! constraint `sum_i S_i = A`.
 //!
-//! Three solver entry points are provided:
+//! One [`SolverKind`] selects the solver, and every solve goes through one
+//! of two front doors: [`solve_cancellable`] for a single co-scheduled set
+//! and [`solve_batch_cancellable`] for many. The kinds are:
 //!
-//! - [`solve`] — a guaranteed-convergent nested bisection: the inner solve
-//!   finds `S_i(T)` per process (monotone in `T`), the outer solve adjusts
-//!   `T` until the capacity constraint holds. This is the default.
-//! - [`solve_newton`] — Newton–Raphson on the `(S_1..S_k, T)` system, the
-//!   method the paper names. Equivalent at the solution; used by the
-//!   ablation benchmarks and cross-checked against [`solve`] in tests.
-//! - [`solve_robust`] — a staged fallback chain for untrusted or
+//! - [`SolverKind::Bisection`] — a guaranteed-convergent nested bisection:
+//!   the inner solve finds `S_i(T)` per process (monotone in `T`), the
+//!   outer solve adjusts `T` until the capacity constraint holds. This is
+//!   the default, and [`solve`] is its plain shorthand.
+//! - [`SolverKind::Newton`] — Newton–Raphson on the `(S_1..S_k, T)`
+//!   system, the method the paper names. Equivalent at the solution;
+//!   cross-checked against bisection in tests.
+//! - [`SolverKind::Robust`] — a staged fallback chain for untrusted or
 //!   adversarial inputs: damped Newton, then perturbed Newton restarts,
 //!   then a bounded fixed-point/bisection solve, and finally a
 //!   proportional-to-API heuristic split that cannot fail. Every stage
 //!   transition is recorded in [`SolveDiagnostics`].
+//!
+//! Two special-purpose entries remain beside the front doors:
+//! [`solve_proportional`] (the serving breaker's no-solve degraded tier)
+//! and [`solve_newton_warm_cancellable`] (Newton seeded from a cached
+//! neighbor).
 //!
 //! If the combined demand cannot fill the cache (every process saturates
 //! below its share), the capacity constraint is infeasible; the solvers
@@ -36,7 +44,6 @@ use mathkit::roots::{
 use mathkit::sync::CancelToken;
 use std::cell::Cell;
 use std::fmt;
-use std::time::Instant;
 
 /// Which stage of the solver chain produced a result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +86,7 @@ impl fmt::Display for SolveMethod {
 pub struct FallbackEvent {
     /// The stage that failed.
     pub stage: SolveMethod,
-    /// Why it was abandoned (solver error or budget exhaustion).
+    /// Why it was abandoned (solver error, or a zero budget disabled it).
     pub reason: String,
 }
 
@@ -124,7 +131,9 @@ impl SolveDiagnostics {
     }
 }
 
-/// Budgets for [`solve_robust`]'s fallback chain.
+/// Iteration budgets for the [`SolverKind::Robust`] fallback chain. The
+/// budgets are counts, never wall time, so the answer depends only on the
+/// inputs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveOptions {
     /// Residual tolerance for the Newton stages.
@@ -133,11 +142,9 @@ pub struct SolveOptions {
     pub max_newton_iter: usize,
     /// Perturbed restarts after the first Newton attempt fails.
     pub newton_retries: usize,
-    /// Iteration cap for each inner fixed-point solve.
+    /// Iteration cap for each inner fixed-point solve. `0` skips the
+    /// fixed-point stage.
     pub max_fixed_point_iter: usize,
-    /// Wall-clock budget for the whole chain, in seconds. When exceeded,
-    /// remaining stages are skipped and the heuristic answers.
-    pub time_budget_s: f64,
 }
 
 impl Default for SolveOptions {
@@ -147,9 +154,30 @@ impl Default for SolveOptions {
             max_newton_iter: 200,
             newton_retries: 2,
             max_fixed_point_iter: 400,
-            time_budget_s: 5.0,
         }
     }
+}
+
+/// Which equilibrium solver a solve runs (see the module docs).
+///
+/// Production callers pick: `CombinedModel` and `mpmc serve` use the
+/// default [`SolverKind::Bisection`]; `mpmc predict` and the diffval
+/// cross-check use [`SolverKind::Robust`] with default options.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum SolverKind {
+    /// Guaranteed-convergent nested bisection (default).
+    #[default]
+    Bisection,
+    /// Newton–Raphson, the paper's named method: the analytic-Jacobian
+    /// fast path, falling back to a bisection-seeded finite-difference
+    /// Newton when the fast path rejects an input.
+    Newton,
+    /// The staged fallback chain under the given budgets: Newton,
+    /// perturbed restarts, bounded fixed point, heuristic split. Never
+    /// fails on solver trouble, only on invalid inputs (each feature
+    /// vector is checked with [`crate::validate::feature_vector`]); check
+    /// [`Equilibrium::diagnostics`] for degradation.
+    Robust(SolveOptions),
 }
 
 /// The solved steady state for one co-scheduled set.
@@ -248,27 +276,36 @@ fn size_for_window(f: &FeatureVector, a: f64, t: f64) -> f64 {
 /// # }
 /// ```
 pub fn solve(features: &[&FeatureVector], assoc: usize) -> Result<Equilibrium, ModelError> {
-    solve_cancellable(features, assoc, &CancelToken::never())
+    solve_cancellable(features, assoc, SolverKind::Bisection, &CancelToken::never())
 }
 
-/// [`solve`] with cooperative cancellation points in the outer window
-/// solve (bracket expansion and bisection iterations).
+/// Solves the equilibrium for `features` sharing an `assoc`-way cache with
+/// the solver `kind`, polling `cancel` in every iteration loop.
 ///
-/// With a never-firing token the result is bit-identical to [`solve`];
-/// once `cancel` fires the solve stops with
+/// With a never-firing token the result is bit-identical to an
+/// uncancellable solve; once `cancel` fires the solve stops with
 /// [`ModelError::Math`]`(`[`mathkit::MathError::Cancelled`]`)` within one
-/// inner-solve evaluation.
+/// inner-solve evaluation. A fired token never falls through to the
+/// robust chain's heuristic split: a caller that imposed a deadline wants
+/// the worker back, not a degraded answer.
 ///
 /// # Errors
 ///
-/// Everything [`solve`] returns, plus the cancellation error above.
+/// - [`ModelError::EmptyInput`] if `features` is empty.
+/// - [`ModelError::EquilibriumFailed`] if features were built for a
+///   different associativity than `assoc`, or (Newton only) on rare
+///   non-convergence.
+/// - [`ModelError::UnusableProfile`] / [`ModelError::NonFinite`] /
+///   [`ModelError::InvalidDistribution`] when a feature vector fails
+///   [`SolverKind::Robust`]'s input validation.
+/// - The cancellation error above.
 pub fn solve_cancellable(
     features: &[&FeatureVector],
     assoc: usize,
+    kind: SolverKind,
     cancel: &CancelToken,
 ) -> Result<Equilibrium, ModelError> {
-    validate(features, assoc)?;
-    solve_with(features, assoc, Strategy::Bisection, cancel)
+    solve_one(features, assoc, kind, cancel, &mut NewtonScratch::default())
 }
 
 /// Window value reported when the capacity constraint is infeasible: the
@@ -284,13 +321,57 @@ struct CoreSolution {
     diagnostics: SolveDiagnostics,
 }
 
-enum Strategy<'o> {
-    Bisection,
-    Newton,
-    Robust(&'o SolveOptions),
+/// The per-set path both front doors share: input validation, then the
+/// front end with `kind`'s core. `scratch` is caller-owned so a batch pays
+/// the Newton buffer allocations once per chunk instead of once per set;
+/// it carries no numeric state between solves.
+fn solve_one(
+    features: &[&FeatureVector],
+    assoc: usize,
+    kind: SolverKind,
+    cancel: &CancelToken,
+    scratch: &mut NewtonScratch,
+) -> Result<Equilibrium, ModelError> {
+    validate(features, assoc)?;
+    if matches!(kind, SolverKind::Robust(_)) {
+        for f in features {
+            crate::validate::feature_vector(f)?;
+        }
+    }
+    let a = assoc as f64;
+    solve_with(features, assoc, cancel, |canon, _| match kind {
+        SolverKind::Bisection => bisection_core(canon, a, cancel),
+        SolverKind::Newton => newton_core(canon, a, cancel, scratch),
+        SolverKind::Robust(opts) => robust_core(canon, a, &opts, cancel),
+    })
 }
 
-/// Shared front-end for all three solver entry points:
+/// Active (`API > 0`) process indices in canonical content-fingerprint
+/// order.
+fn canonical_active(features: &[&FeatureVector]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..features.len()).filter(|&i| features[i].api() > 0.0).collect();
+    order.sort_by_key(|&i| (features[i].content_fingerprint(), i));
+    order
+}
+
+/// The closed form when nobody touches the cache: it stays empty and no
+/// window exists.
+fn all_idle(features: &[&FeatureVector]) -> Equilibrium {
+    let diag = SolveDiagnostics::direct(SolveMethod::ClosedForm, 0, 0.0);
+    Equilibrium::from_sizes(features, vec![0.0; features.len()], 0.0, false, diag)
+}
+
+/// Scatters a core's canonical-order answer back to caller order (idle
+/// processes keep zero ways).
+fn scatter(features: &[&FeatureVector], order: &[usize], core: CoreSolution) -> Equilibrium {
+    let mut sizes = vec![0.0; features.len()];
+    for (ci, &i) in order.iter().enumerate() {
+        sizes[i] = core.sizes[ci];
+    }
+    Equilibrium::from_sizes(features, sizes, core.window, core.filled, core.diagnostics)
+}
+
+/// Shared front end of every iterative solve:
 ///
 /// 1. Partition out idle (`API == 0`) processes — they occupy nothing and
 ///    must not reach an iterative core (their `APS` is identically zero,
@@ -300,58 +381,23 @@ enum Strategy<'o> {
 /// 3. Re-order the remaining active processes canonically by content
 ///    fingerprint, so float summation order inside the cores — and hence
 ///    every bit of the result — is independent of the caller's process
-///    order, then scatter the core's answer back to input order.
+///    order, run `core` on them (it also gets the canonical-to-caller
+///    index map), and scatter its answer back to input order.
 fn solve_with(
     features: &[&FeatureVector],
     assoc: usize,
-    strategy: Strategy,
     cancel: &CancelToken,
+    core: impl FnOnce(&[&FeatureVector], &[usize]) -> Result<CoreSolution, ModelError>,
 ) -> Result<Equilibrium, ModelError> {
-    solve_with_scratch(features, assoc, strategy, cancel, &mut NewtonScratch::default())
-}
-
-/// [`solve_with`] with caller-owned Newton scratch buffers, so batched
-/// solving pays the scratch allocations once per chunk instead of once per
-/// set. The scratch carries no numeric state between solves.
-fn solve_with_scratch(
-    features: &[&FeatureVector],
-    assoc: usize,
-    strategy: Strategy,
-    cancel: &CancelToken,
-    scratch: &mut NewtonScratch,
-) -> Result<Equilibrium, ModelError> {
-    let a = assoc as f64;
-    let k = features.len();
-    let active: Vec<usize> = (0..k).filter(|&i| features[i].api() > 0.0).collect();
-
-    if active.is_empty() {
-        // Nobody touches the cache: it stays empty and no window exists.
-        let diag = SolveDiagnostics::direct(SolveMethod::ClosedForm, 0, 0.0);
-        return Ok(Equilibrium::from_sizes(features, vec![0.0; k], 0.0, false, diag));
+    let order = canonical_active(features);
+    match order.as_slice() {
+        [] => return Ok(all_idle(features)),
+        &[only] => return solve_single_active(features, only, assoc as f64),
+        _ => {}
     }
-    if active.len() == 1 {
-        return solve_single_active(features, active[0], a);
-    }
-
-    let mut order = active;
-    order.sort_by_key(|&i| (features[i].content_fingerprint(), i));
     let canon: Vec<&FeatureVector> = order.iter().map(|&i| features[i]).collect();
-
-    let core = if assoc == 1 {
-        unit_assoc_core(&canon, cancel)?
-    } else {
-        match strategy {
-            Strategy::Bisection => bisection_core(&canon, a, cancel)?,
-            Strategy::Newton => newton_core(&canon, a, cancel, scratch)?,
-            Strategy::Robust(opts) => robust_core(&canon, a, opts, cancel)?,
-        }
-    };
-
-    let mut sizes = vec![0.0; k];
-    for (ci, &i) in order.iter().enumerate() {
-        sizes[i] = core.sizes[ci];
-    }
-    Ok(Equilibrium::from_sizes(features, sizes, core.window, core.filled, core.diagnostics))
+    let core = if assoc == 1 { unit_assoc_core(&canon, cancel)? } else { core(&canon, &order)? };
+    Ok(scatter(features, &order, core))
 }
 
 /// Closed form for exactly one active process (possibly among idles): it
@@ -550,42 +596,7 @@ fn bisection_core(
     Ok(CoreSolution { sizes, window: t, filled: true, diagnostics: diag })
 }
 
-/// Solves the equilibrium with damped Newton–Raphson on the
-/// `(S_1..S_k, T)` system — the paper's §3.3 method.
-///
-/// The residuals are the normalized window conditions
-/// `r_i = 1 - APS_i(S_i) * T / G_i^{-1}(S_i)` plus the capacity constraint
-/// `(sum S_i - A) / A`; this is Eq. 7 rearranged to avoid the huge dynamic
-/// range of raw `G^{-1}` values.
-///
-/// # Errors
-///
-/// - [`ModelError::EmptyInput`] / [`ModelError::EquilibriumFailed`] as for
-///   [`solve`], plus Newton non-convergence (rare; seed with [`solve`]'s
-///   output if it matters).
-pub fn solve_newton(features: &[&FeatureVector], assoc: usize) -> Result<Equilibrium, ModelError> {
-    solve_newton_cancellable(features, assoc, &CancelToken::never())
-}
-
-/// [`solve_newton`] with cooperative cancellation points (seed solve and
-/// Newton iterations). Bit-identical to [`solve_newton`] under a
-/// never-firing token.
-///
-/// # Errors
-///
-/// Everything [`solve_newton`] returns, plus
-/// [`ModelError::Math`]`(`[`mathkit::MathError::Cancelled`]`)` once
-/// `cancel` fires.
-pub fn solve_newton_cancellable(
-    features: &[&FeatureVector],
-    assoc: usize,
-    cancel: &CancelToken,
-) -> Result<Equilibrium, ModelError> {
-    validate(features, assoc)?;
-    solve_with(features, assoc, Strategy::Newton, cancel)
-}
-
-/// [`solve_newton_cancellable`] seeded from a previously solved neighbor
+/// [`SolverKind::Newton`] seeded from a previously solved neighbor
 /// equilibrium instead of the cold demand-proportional guess.
 ///
 /// `warm_sizes` / `warm_window` are a candidate starting point in the
@@ -598,8 +609,8 @@ pub fn solve_newton_cancellable(
 ///
 /// # Errors
 ///
-/// Everything [`solve_newton`] returns, plus non-convergence from the
-/// warm seed and a seed-shape mismatch.
+/// Everything [`solve_cancellable`] returns for [`SolverKind::Newton`],
+/// plus non-convergence from the warm seed and a seed-shape mismatch.
 pub fn solve_newton_warm_cancellable(
     features: &[&FeatureVector],
     assoc: usize,
@@ -616,32 +627,19 @@ pub fn solve_newton_warm_cancellable(
         )));
     }
     let a = assoc as f64;
-    let k = features.len();
-    let active: Vec<usize> = (0..k).filter(|&i| features[i].api() > 0.0).collect();
-    if active.len() <= 1 || assoc == 1 {
-        // Closed forms: the seed adds nothing and the result is already
-        // bit-identical to the cold path.
-        return solve_newton_cancellable(features, assoc, cancel);
-    }
-    let mut order = active;
-    order.sort_by_key(|&i| (features[i].content_fingerprint(), i));
-    let canon: Vec<&FeatureVector> = order.iter().map(|&i| features[i]).collect();
-    let seed: Vec<f64> = order.iter().map(|&i| warm_sizes[i]).collect();
-    let sat_sum: f64 = canon.iter().map(|f| f.occupancy().saturation().min(a)).sum();
-    if sat_sum < a - 1e-2 {
-        // Infeasible capacity constraint: no root for a warm seed to reach.
-        return Err(ModelError::EquilibriumFailed(
-            "warm-start: saturated demand below capacity".into(),
-        ));
-    }
-    let mut scratch = NewtonScratch::default();
-    let core = fast_newton_core(&canon, a, Some((&seed, warm_window)), cancel, &mut scratch)
-        .map_err(|e| outer_bisection_error("warm-start newton", e))?;
-    let mut sizes = vec![0.0; k];
-    for (ci, &i) in order.iter().enumerate() {
-        sizes[i] = core.sizes[ci];
-    }
-    Ok(Equilibrium::from_sizes(features, sizes, core.window, core.filled, core.diagnostics))
+    solve_with(features, assoc, cancel, |canon, order| {
+        let seed: Vec<f64> = order.iter().map(|&i| warm_sizes[i]).collect();
+        let sat_sum: f64 = canon.iter().map(|f| f.occupancy().saturation().min(a)).sum();
+        if sat_sum < a - 1e-2 {
+            // Infeasible capacity constraint: no root for a warm seed to reach.
+            return Err(ModelError::EquilibriumFailed(
+                "warm-start: saturated demand below capacity".into(),
+            ));
+        }
+        let mut scratch = NewtonScratch::default();
+        fast_newton_core(canon, a, Some((&seed, warm_window)), cancel, &mut scratch)
+            .map_err(|e| outer_bisection_error("warm-start newton", e))
+    })
 }
 
 /// One co-scheduled set in a batched solve: borrowed feature vectors in
@@ -652,67 +650,28 @@ pub struct CorunSet<'a> {
     pub features: Vec<&'a FeatureVector>,
 }
 
-/// Which solver a batched solve runs per set (mirror of the public
-/// per-solve entry points, minus the lifetime coupling of `Strategy`).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum BatchStrategy {
-    Bisection,
-    Newton,
-    Robust(SolveOptions),
-}
-
-/// Solves many co-run sets with the Newton solver, amortizing scratch
-/// allocations across sets and fanning chunks of the batch out over
-/// `mathkit::parallel` workers.
+/// Solves many co-run sets with the solver `kind`, returning one `Result`
+/// per set in set order (so callers like the estimate prestage can keep
+/// going past individual failures).
 ///
 /// Each set's result is **bit-identical** to a standalone
-/// [`solve_newton`] call on the same features: sets are solved
-/// independently (chunking only changes which thread runs a set, never
-/// the arithmetic), and duplicate sets (same feature content, same order)
-/// are solved once and cloned.
+/// [`solve_cancellable`] call with the same `kind`, errors included:
 ///
-/// # Errors
+/// - Work is deduplicated on the ordered tuple of content fingerprints.
+///   Identical sets solve once and the answer is cloned; the solver is
+///   deterministic in exactly those inputs, so a clone is bit-identical to
+///   a re-solve. A duplicate of a failed set re-solves, which reproduces
+///   the representative's error exactly.
+/// - Unique sets are chunked contiguously over `min(workers, n)` parallel
+///   workers (`0` = auto), each chunk reusing one scratch allocation.
+///   Chunking only changes which thread runs a set, never the arithmetic.
 ///
-/// The first per-set error in set order, if any ([`solve_newton`]'s
-/// errors apply per set).
-pub fn solve_batch(sets: &[CorunSet<'_>], assoc: usize) -> Result<Vec<Equilibrium>, ModelError> {
-    solve_batch_cancellable(sets, assoc, 0, &CancelToken::never())
-}
-
-/// [`solve_batch`] with a worker count (`0` = auto) and cooperative
-/// cancellation.
-///
-/// # Errors
-///
-/// Everything [`solve_batch`] returns, plus
-/// [`ModelError::Math`]`(`[`mathkit::MathError::Cancelled`]`)` once
-/// `cancel` fires.
+/// Once `cancel` fires, the remaining sets fail with
+/// [`ModelError::Math`]`(`[`mathkit::MathError::Cancelled`]`)`.
 pub fn solve_batch_cancellable(
     sets: &[CorunSet<'_>],
     assoc: usize,
-    workers: usize,
-    cancel: &CancelToken,
-) -> Result<Vec<Equilibrium>, ModelError> {
-    let mut out = Vec::with_capacity(sets.len());
-    for res in solve_batch_results(sets, assoc, BatchStrategy::Newton, workers, cancel) {
-        out.push(res?);
-    }
-    Ok(out)
-}
-
-/// Batch driver shared by the public entry and `PerformanceModel`: solves
-/// each set with `strategy`, returning one `Result` per set (so callers
-/// like the cache prestage can keep going past individual failures).
-///
-/// Work is deduplicated on the ordered tuple of content fingerprints
-/// (identical sets solve once; the solver is deterministic in exactly
-/// those inputs, so a clone is bit-identical to a re-solve) and unique
-/// sets are chunked contiguously over `min(workers, n)` parallel workers,
-/// each chunk reusing one scratch allocation.
-pub(crate) fn solve_batch_results(
-    sets: &[CorunSet<'_>],
-    assoc: usize,
-    strategy: BatchStrategy,
+    kind: SolverKind,
     workers: usize,
     cancel: &CancelToken,
 ) -> Vec<Result<Equilibrium, ModelError>> {
@@ -743,10 +702,8 @@ pub(crate) fn solve_batch_results(
             let mut scratch = NewtonScratch::default();
             let mut out = Vec::with_capacity(hi.saturating_sub(lo));
             for &set_idx in &uniques[lo.min(n)..hi] {
-                out.push((
-                    set_idx,
-                    solve_batch_one(&sets[set_idx], assoc, strategy, cancel, &mut scratch),
-                ));
+                let features = &sets[set_idx].features;
+                out.push((set_idx, solve_one(features, assoc, kind, cancel, &mut scratch)));
             }
             out
         });
@@ -758,47 +715,16 @@ pub(crate) fn solve_batch_results(
         }
     }
 
-    // Scatter back to set order; duplicates clone their representative's
-    // answer (or re-solve on the rare error, which is deterministic and
-    // therefore reproduces the representative's error exactly).
     let mut scratch = NewtonScratch::default();
     let mut out: Vec<Result<Equilibrium, ModelError>> = Vec::with_capacity(sets.len());
     for (i, set) in sets.iter().enumerate() {
-        let rep = rep_of[i];
-        let res = match solved.get(&rep) {
+        let res = match solved.get(&rep_of[i]) {
             Some(Ok(eq)) => Ok(eq.clone()),
-            _ => solve_batch_one(set, assoc, strategy, cancel, &mut scratch),
+            _ => solve_one(&set.features, assoc, kind, cancel, &mut scratch),
         };
         out.push(res);
     }
     out
-}
-
-/// One set of a batch: the same validation + solve chain as the matching
-/// standalone entry point, with caller-owned scratch.
-fn solve_batch_one(
-    set: &CorunSet<'_>,
-    assoc: usize,
-    strategy: BatchStrategy,
-    cancel: &CancelToken,
-    scratch: &mut NewtonScratch,
-) -> Result<Equilibrium, ModelError> {
-    let features = &set.features;
-    validate(features, assoc)?;
-    match strategy {
-        BatchStrategy::Bisection => {
-            solve_with_scratch(features, assoc, Strategy::Bisection, cancel, scratch)
-        }
-        BatchStrategy::Newton => {
-            solve_with_scratch(features, assoc, Strategy::Newton, cancel, scratch)
-        }
-        BatchStrategy::Robust(opts) => {
-            for f in features.iter() {
-                crate::validate::feature_vector(f)?;
-            }
-            solve_with_scratch(features, assoc, Strategy::Robust(&opts), cancel, scratch)
-        }
-    }
 }
 
 /// The damped-Newton core over canonically ordered active features.
@@ -853,7 +779,7 @@ fn newton_core_legacy(
     x0.push(bisection_seed.window * 1.1);
 
     let opts = NewtonOptions { tol: 1e-7, max_iter: 200, fd_step: 1e-6, max_backtrack: 40 };
-    let sol = newton_system(features, a, &x0, opts, cancel)
+    let sol = newton_system(features, a, &x0, opts, cancel, &mut NewtonWorkspace::default())
         .map_err(|e| outer_bisection_error("newton", e))?;
 
     let sizes = sol.x[..k].to_vec();
@@ -932,7 +858,7 @@ fn fast_eval(
 /// Damped Newton on the `(S_1..S_k, T)` system with the analytic arrow
 /// Jacobian from [`fast_eval`]. Seeded either warm (a neighbor solution)
 /// or cold (demand-proportional sizes, geometric-mean window — the same
-/// shape as `solve_robust`'s first attempt). Errors are typed so the
+/// shape as the robust chain's first attempt). Errors are typed so the
 /// caller can fall back; `Cancelled` always propagates.
 fn fast_newton_core(
     features: &[&FeatureVector],
@@ -958,7 +884,7 @@ fn fast_newton_core(
         }
         None => {
             // Demand-proportional sizes at a geometric-mean window: the
-            // same cold seed shape as solve_robust's first attempt.
+            // same cold seed shape as the robust chain's first attempt.
             let api_total: f64 = features.iter().map(|f| f.api()).sum();
             if api_total.is_nan() || api_total <= 0.0 {
                 return Err(mathkit::MathError::NonFinite("zero total API".into()));
@@ -1086,26 +1012,16 @@ fn fast_newton_core(
     }
 }
 
-/// Runs damped Newton on the `(S_1..S_k, T)` system from `x0` — shared by
-/// [`solve_newton`] and the first stages of [`solve_robust`].
+/// Runs finite-difference damped Newton on the `(S_1..S_k, T)` system
+/// from `x0`, with caller-owned Jacobian scratch (reused across the robust
+/// chain's retry attempts) — shared by the legacy Newton core and the
+/// chain's first stages.
 ///
 /// The residual is guarded against NaN/Inf poisoning: any non-finite
 /// intermediate (a corrupted MPA sample, a zero SPI, a wild `G⁻¹`) is
 /// mapped to a large finite penalty so the line search backs away from it
 /// instead of propagating the NaN through the Jacobian.
 fn newton_system(
-    features: &[&FeatureVector],
-    a: f64,
-    x0: &[f64],
-    opts: NewtonOptions,
-    cancel: &CancelToken,
-) -> Result<mathkit::newton::NewtonSolution, mathkit::MathError> {
-    newton_system_workspace(features, a, x0, opts, cancel, &mut NewtonWorkspace::default())
-}
-
-/// [`newton_system`] with caller-owned Jacobian scratch (reused across
-/// `solve_robust`'s retry attempts).
-fn newton_system_workspace(
     features: &[&FeatureVector],
     a: f64,
     x0: &[f64],
@@ -1149,68 +1065,7 @@ fn newton_system_workspace(
     newton_raphson_workspace_cancellable(residual, x0, clamp, opts, cancel, ws)
 }
 
-/// Solves the equilibrium through a staged fallback chain that cannot
-/// panic and only fails on invalid *inputs*, never on solver trouble:
-///
-/// 1. **Damped Newton** from a demand-proportional seed.
-/// 2. **Perturbed Newton restarts** (`newton_retries` of them) when the
-///    first attempt diverges or converges to an infeasible point.
-/// 3. **Bounded fixed-point iteration** on the inner occupancy solves
-///    with a bisection outer loop (guaranteed for monotone curves).
-/// 4. **Proportional-to-API heuristic split** — a last resort that
-///    always produces finite sizes summing to `A`, flagged
-///    [`SolveDiagnostics::degraded`].
-///
-/// Inputs are validated with [`crate::validate::feature_vector`] first,
-/// and every abandoned stage is recorded in the returned
-/// [`Equilibrium::diagnostics`]. A wall-clock budget
-/// ([`SolveOptions::time_budget_s`]) bounds the whole chain; when it
-/// runs out, remaining stages are skipped.
-///
-/// # Errors
-///
-/// - [`ModelError::EmptyInput`] / [`ModelError::EquilibriumFailed`] for
-///   structurally invalid inputs (as for [`solve`]).
-/// - [`ModelError::UnusableProfile`] / [`ModelError::NonFinite`] /
-///   [`ModelError::InvalidDistribution`] when a feature vector fails
-///   validation.
-pub fn solve_robust(
-    features: &[&FeatureVector],
-    assoc: usize,
-    opts: &SolveOptions,
-) -> Result<Equilibrium, ModelError> {
-    solve_robust_cancellable(features, assoc, opts, &CancelToken::never())
-}
-
-/// [`solve_robust`] with cooperative cancellation points in every stage
-/// of the fallback chain (Newton iterations, fixed-point outer loop,
-/// bracket expansions).
-///
-/// A fired token stops the chain immediately with
-/// [`ModelError::Math`]`(`[`mathkit::MathError::Cancelled`]`)` — it does
-/// *not* fall through to the proportional heuristic, because a caller
-/// that imposed a deadline wants the worker back, not a degraded answer
-/// it no longer has time to use (the serving layer decides separately
-/// whether to answer degraded). Bit-identical to [`solve_robust`] under
-/// a never-firing token.
-///
-/// # Errors
-///
-/// Everything [`solve_robust`] returns, plus the cancellation error.
-pub fn solve_robust_cancellable(
-    features: &[&FeatureVector],
-    assoc: usize,
-    opts: &SolveOptions,
-    cancel: &CancelToken,
-) -> Result<Equilibrium, ModelError> {
-    validate(features, assoc)?;
-    for f in features {
-        crate::validate::feature_vector(f)?;
-    }
-    solve_with(features, assoc, Strategy::Robust(opts), cancel)
-}
-
-/// The proportional-to-API closed-form split — [`solve_robust`]'s stage-4
+/// The proportional-to-API closed-form split — the robust chain's stage-4
 /// last resort, exposed directly so the serving layer's circuit breaker
 /// can answer degraded requests without running (and failing) the full
 /// chain first.
@@ -1232,31 +1087,49 @@ pub fn solve_proportional(
     assoc: usize,
 ) -> Result<Equilibrium, ModelError> {
     validate(features, assoc)?;
-    let a = assoc as f64;
-    let k = features.len();
-    let active: Vec<usize> = (0..k).filter(|&i| features[i].api() > 0.0).collect();
-    if active.is_empty() {
-        let diag = SolveDiagnostics::direct(SolveMethod::ClosedForm, 0, 0.0);
-        return Ok(Equilibrium::from_sizes(features, vec![0.0; k], 0.0, false, diag));
+    let order = canonical_active(features);
+    if order.is_empty() {
+        return Ok(all_idle(features));
     }
-    let mut order = active;
-    order.sort_by_key(|&i| (features[i].content_fingerprint(), i));
-    let api_total: f64 = order.iter().map(|&i| features[i].api()).sum();
-    let mut sizes = vec![0.0; k];
-    for &i in &order {
-        sizes[i] = a * features[i].api() / api_total;
-    }
+    let canon: Vec<&FeatureVector> = order.iter().map(|&i| features[i]).collect();
+    Ok(scatter(features, &order, proportional_core(&canon, assoc as f64, Vec::new())))
+}
+
+/// The proportional-to-API split over canonically ordered active features,
+/// flagged degraded, with the abandoned stages that led here. Every API is
+/// positive, so the split is well defined, finite, and sums to `A`. The
+/// window is not meaningful here and reported as 0.
+fn proportional_core(
+    features: &[&FeatureVector],
+    a: f64,
+    fallbacks: Vec<FallbackEvent>,
+) -> CoreSolution {
+    let api_total: f64 = features.iter().map(|f| f.api()).sum();
+    let sizes: Vec<f64> = features.iter().map(|f| a * f.api() / api_total).collect();
     let diag = SolveDiagnostics {
         method: SolveMethod::ProportionalShare,
         iterations: 0,
         residual: 0.0,
-        fallbacks: Vec::new(),
+        fallbacks,
         degraded: true,
     };
-    Ok(Equilibrium::from_sizes(features, sizes, 0.0, true, diag))
+    CoreSolution { sizes, window: 0.0, filled: true, diagnostics: diag }
 }
 
-/// The staged fallback chain over canonically ordered active features.
+/// The staged fallback chain over canonically ordered active features:
+///
+/// 1. **Damped Newton** from a demand-proportional seed.
+/// 2. **Perturbed Newton restarts** (`newton_retries` of them) when the
+///    first attempt diverges or converges to an infeasible point.
+/// 3. **Bounded fixed-point iteration** on the inner occupancy solves
+///    with a bisection outer loop (guaranteed for monotone curves);
+///    skipped when `max_fixed_point_iter` is 0.
+/// 4. **Proportional-to-API heuristic split** ([`proportional_core`]) — a
+///    last resort that always produces finite sizes summing to `A`,
+///    flagged [`SolveDiagnostics::degraded`].
+///
+/// Every abandoned stage is recorded in the diagnostics' fallbacks. Only
+/// cancellation escapes as an error.
 fn robust_core(
     features: &[&FeatureVector],
     a: f64,
@@ -1264,9 +1137,6 @@ fn robust_core(
     cancel: &CancelToken,
 ) -> Result<CoreSolution, ModelError> {
     let k = features.len();
-    #[allow(clippy::disallowed_methods)]
-    // lint:allow(determinism) -- diagnostics-only: wall time feeds SolveDiagnostics.elapsed, never the solution itself
-    let start = Instant::now();
     let mut fallbacks: Vec<FallbackEvent> = Vec::new();
     cancel.check()?;
 
@@ -1302,10 +1172,6 @@ fn robust_core(
         let stage =
             if attempt == 0 { SolveMethod::DampedNewton } else { SolveMethod::ReseededNewton };
         cancel.check()?;
-        if start.elapsed().as_secs_f64() > opts.time_budget_s {
-            fallbacks.push(FallbackEvent { stage, reason: "time budget exhausted".into() });
-            break;
-        }
         let mut x0 = Vec::with_capacity(k + 1);
         for (i, f) in features.iter().enumerate() {
             let base = a * f.api() / api_total;
@@ -1324,7 +1190,7 @@ fn robust_core(
         let t0 = (log_t / k as f64).exp() * window_factors[attempt % window_factors.len()];
         x0.push(t0.clamp(1e-15, 1e12));
 
-        match newton_system_workspace(features, a, &x0, newton_opts, cancel, &mut nws) {
+        match newton_system(features, a, &x0, newton_opts, cancel, &mut nws) {
             Err(mathkit::MathError::Cancelled) => {
                 return Err(ModelError::Math(mathkit::MathError::Cancelled))
             }
@@ -1358,7 +1224,12 @@ fn robust_core(
     }
 
     // Stage 3: bounded fixed-point iteration (bisection outer loop).
-    if start.elapsed().as_secs_f64() <= opts.time_budget_s {
+    if opts.max_fixed_point_iter == 0 {
+        fallbacks.push(FallbackEvent {
+            stage: SolveMethod::FixedPoint,
+            reason: "skipped (max_fixed_point_iter = 0)".into(),
+        });
+    } else {
         match solve_fixed_point_stage(features, a, opts, cancel) {
             Err(ModelError::Math(mathkit::MathError::Cancelled)) => {
                 return Err(ModelError::Math(mathkit::MathError::Cancelled))
@@ -1376,26 +1247,11 @@ fn robust_core(
             Err(e) => fallbacks
                 .push(FallbackEvent { stage: SolveMethod::FixedPoint, reason: e.to_string() }),
         }
-    } else {
-        fallbacks.push(FallbackEvent {
-            stage: SolveMethod::FixedPoint,
-            reason: "time budget exhausted".into(),
-        });
     }
 
-    // Stage 4: proportional-to-API heuristic. The front-end guarantees
-    // every API here is positive, so the split is well defined, finite,
-    // and sums to `A` exactly. The window is not meaningful here and
-    // reported as 0.
-    let sizes: Vec<f64> = features.iter().map(|f| a * f.api() / api_total).collect();
-    let diag = SolveDiagnostics {
-        method: SolveMethod::ProportionalShare,
-        iterations: 0,
-        residual: 0.0,
-        fallbacks,
-        degraded: true,
-    };
-    Ok(CoreSolution { sizes, window: 0.0, filled: true, diagnostics: diag })
+    // Stage 4: the proportional-to-API heuristic (the front-end guarantees
+    // every API here is positive).
+    Ok(proportional_core(features, a, fallbacks))
 }
 
 /// The chain's stage 3: inner occupancy solves by bounded damped
@@ -1502,6 +1358,29 @@ mod tests {
         FeatureVector::from_workload(&w.params(), &MachineConfig::four_core_server()).unwrap()
     }
 
+    fn robust() -> SolverKind {
+        SolverKind::Robust(SolveOptions::default())
+    }
+
+    fn solve_kind(
+        features: &[&FeatureVector],
+        assoc: usize,
+        kind: SolverKind,
+    ) -> Result<Equilibrium, ModelError> {
+        solve_cancellable(features, assoc, kind, &CancelToken::never())
+    }
+
+    /// Budgets that force the chain through to its stage-4 heuristic:
+    /// Newton cannot reach `tol = 0` and the fixed-point stage is off.
+    fn forced_stage4() -> SolverKind {
+        SolverKind::Robust(SolveOptions {
+            tol: 0.0,
+            max_newton_iter: 2,
+            newton_retries: 0,
+            max_fixed_point_iter: 0,
+        })
+    }
+
     #[test]
     fn pair_fills_cache_exactly() {
         let a = fv(SpecWorkload::Mcf);
@@ -1588,7 +1467,7 @@ mod tests {
             let a = fv(wa);
             let b = fv(wb);
             let bis = solve(&[&a, &b], 16).unwrap();
-            let newt = solve_newton(&[&a, &b], 16).unwrap();
+            let newt = solve_kind(&[&a, &b], 16, SolverKind::Newton).unwrap();
             for i in 0..2 {
                 assert!(
                     (bis.sizes[i] - newt.sizes[i]).abs() < 0.05,
@@ -1642,7 +1521,7 @@ mod tests {
             let a = fv(wa);
             let b = fv(wb);
             let bis = solve(&[&a, &b], 16).unwrap();
-            let rob = solve_robust(&[&a, &b], 16, &SolveOptions::default()).unwrap();
+            let rob = solve_kind(&[&a, &b], 16, robust()).unwrap();
             assert!(!rob.diagnostics.degraded, "{wa}/{wb}: {:?}", rob.diagnostics);
             for i in 0..2 {
                 assert!(
@@ -1663,7 +1542,7 @@ mod tests {
         // through to the fixed-point stage and still nail the constraint.
         let opts =
             SolveOptions { tol: 0.0, max_newton_iter: 2, newton_retries: 1, ..Default::default() };
-        let eq = solve_robust(&[&a, &b], 16, &opts).unwrap();
+        let eq = solve_kind(&[&a, &b], 16, SolverKind::Robust(opts)).unwrap();
         assert_eq!(eq.diagnostics.method, SolveMethod::FixedPoint, "{:?}", eq.diagnostics);
         assert_eq!(eq.diagnostics.fallbacks.len(), 2, "{:?}", eq.diagnostics.fallbacks);
         assert!(!eq.diagnostics.degraded);
@@ -1675,8 +1554,7 @@ mod tests {
     fn robust_exhausted_budget_degrades_to_heuristic() {
         let a = fv(SpecWorkload::Mcf);
         let b = fv(SpecWorkload::Gzip);
-        let opts = SolveOptions { time_budget_s: 0.0, ..Default::default() };
-        let eq = solve_robust(&[&a, &b], 16, &opts).unwrap();
+        let eq = solve_kind(&[&a, &b], 16, forced_stage4()).unwrap();
         assert_eq!(eq.diagnostics.method, SolveMethod::ProportionalShare);
         assert!(eq.diagnostics.degraded);
         assert!(!eq.diagnostics.fallbacks.is_empty());
@@ -1706,8 +1584,8 @@ mod tests {
         let a = fv(SpecWorkload::Mcf);
         for eq in [
             solve(&[&a], 16).unwrap(),
-            solve_newton(&[&a], 16).unwrap(),
-            solve_robust(&[&a], 16, &SolveOptions::default()).unwrap(),
+            solve_kind(&[&a], 16, SolverKind::Newton).unwrap(),
+            solve_kind(&[&a], 16, robust()).unwrap(),
         ] {
             assert_eq!(eq.diagnostics.method, SolveMethod::ClosedForm);
             assert_eq!(eq.diagnostics.iterations, 0);
@@ -1749,8 +1627,8 @@ mod tests {
             assert!((implied - expect).abs() < 1e-3 * expect, "proc {i}: {implied} vs {expect}");
         }
         // All strategies route A = 1 through the same closed form.
-        let newt = solve_newton(&[&a, &b], 1).unwrap();
-        let rob = solve_robust(&[&a, &b], 1, &SolveOptions::default()).unwrap();
+        let newt = solve_kind(&[&a, &b], 1, SolverKind::Newton).unwrap();
+        let rob = solve_kind(&[&a, &b], 1, robust()).unwrap();
         assert_eq!(eq.sizes, newt.sizes);
         assert_eq!(eq.sizes, rob.sizes);
     }
@@ -1776,10 +1654,8 @@ mod tests {
     fn all_idle_processes_closed_form() {
         let i1 = idle_fv(16);
         let i2 = idle_fv(16);
-        for eq in [
-            solve(&[&i1, &i2], 16).unwrap(),
-            solve_robust(&[&i1, &i2], 16, &SolveOptions::default()).unwrap(),
-        ] {
+        for eq in [solve(&[&i1, &i2], 16).unwrap(), solve_kind(&[&i1, &i2], 16, robust()).unwrap()]
+        {
             assert_eq!(eq.diagnostics.method, SolveMethod::ClosedForm);
             assert_eq!(eq.sizes, vec![0.0, 0.0]);
             assert!(!eq.cache_filled);
@@ -1798,13 +1674,12 @@ mod tests {
         let base: Vec<&FeatureVector> = feats.iter().collect();
         let perms: Vec<Vec<usize>> =
             vec![vec![0, 1, 2, 3], vec![3, 2, 1, 0], vec![1, 3, 0, 2], vec![2, 0, 3, 1]];
-        let opts = SolveOptions::default();
         let ref_bis = solve(&base, 16).unwrap();
-        let ref_rob = solve_robust(&base, 16, &opts).unwrap();
+        let ref_rob = solve_kind(&base, 16, robust()).unwrap();
         for perm in &perms {
             let permuted: Vec<&FeatureVector> = perm.iter().map(|&i| base[i]).collect();
             let bis = solve(&permuted, 16).unwrap();
-            let rob = solve_robust(&permuted, 16, &opts).unwrap();
+            let rob = solve_kind(&permuted, 16, robust()).unwrap();
             for (slot, &orig) in perm.iter().enumerate() {
                 assert_eq!(
                     bis.sizes[slot].to_bits(),
@@ -1844,8 +1719,7 @@ mod tests {
         assert_eq!(eq.sizes[0].to_bits(), flipped.sizes[2].to_bits());
         assert_eq!(eq.sizes[2].to_bits(), flipped.sizes[0].to_bits());
         // Matches robust's stage-4 answer when the chain is forced there.
-        let opts = SolveOptions { time_budget_s: 0.0, ..Default::default() };
-        let forced = solve_robust(&[&a, &idle, &b], 16, &opts).unwrap();
+        let forced = solve_kind(&[&a, &idle, &b], 16, forced_stage4()).unwrap();
         for i in 0..3 {
             assert_eq!(eq.sizes[i].to_bits(), forced.sizes[i].to_bits(), "proc {i}");
         }
@@ -1859,9 +1733,9 @@ mod tests {
         let a = fv(SpecWorkload::Mcf);
         let b = fv(SpecWorkload::Gzip);
         for r in [
-            solve_cancellable(&[&a, &b], 16, &fired),
-            solve_newton_cancellable(&[&a, &b], 16, &fired),
-            solve_robust_cancellable(&[&a, &b], 16, &SolveOptions::default(), &fired),
+            solve_cancellable(&[&a, &b], 16, SolverKind::Bisection, &fired),
+            solve_cancellable(&[&a, &b], 16, SolverKind::Newton, &fired),
+            solve_cancellable(&[&a, &b], 16, robust(), &fired),
         ] {
             assert!(matches!(r, Err(ModelError::Math(mathkit::MathError::Cancelled))), "{r:?}");
         }
@@ -1873,15 +1747,14 @@ mod tests {
         let a = fv(SpecWorkload::Mcf);
         let b = fv(SpecWorkload::Art);
         let plain = solve(&[&a, &b], 16).unwrap();
-        let cancl = solve_cancellable(&[&a, &b], 16, &never).unwrap();
+        let cancl = solve_cancellable(&[&a, &b], 16, SolverKind::Bisection, &never).unwrap();
         for i in 0..2 {
             assert_eq!(plain.sizes[i].to_bits(), cancl.sizes[i].to_bits());
             assert_eq!(plain.spis[i].to_bits(), cancl.spis[i].to_bits());
         }
         assert_eq!(plain.window.to_bits(), cancl.window.to_bits());
-        let rob = solve_robust(&[&a, &b], 16, &SolveOptions::default()).unwrap();
-        let robc =
-            solve_robust_cancellable(&[&a, &b], 16, &SolveOptions::default(), &never).unwrap();
+        let rob = solve_kind(&[&a, &b], 16, robust()).unwrap();
+        let robc = solve_cancellable(&[&a, &b], 16, robust(), &never).unwrap();
         for i in 0..2 {
             assert_eq!(rob.sizes[i].to_bits(), robc.sizes[i].to_bits());
         }
@@ -1895,7 +1768,7 @@ mod tests {
         // never hold more than ~2 of the 8 ways.
         let h = ReuseHistogram::new(vec![0.7, 0.3], 0.0).unwrap();
         let f = FeatureVector::new("tiny", h, 0.01, SpiModel::new(2e-8, 1e-8).unwrap(), 8).unwrap();
-        let eq = solve_robust(&[&f], 8, &SolveOptions::default()).unwrap();
+        let eq = solve_kind(&[&f], 8, robust()).unwrap();
         assert!(!eq.cache_filled);
         assert!(eq.sizes[0] < 3.0, "{}", eq.sizes[0]);
         assert!(!eq.diagnostics.degraded);

@@ -29,7 +29,7 @@
 //! greedy incumbent (a process on a queue of length `q` can never finish
 //! faster than `q * alone_spi`, and queues only grow). All surviving
 //! leaves are batch-prestaged through the equilibrium memo cache
-//! (`solve_batch`) and then scored sequentially, so the answer is
+//! (`solve_batch_cancellable`) and then scored sequentially, so the answer is
 //! bit-identical for any worker count.
 //!
 //! When the distinct-leaf count exceeds
@@ -774,7 +774,7 @@ fn greedy_construct<M: CorePowerModel>(
 
 /// Seeded local search: greedy start plus seeded random restarts, each
 /// refined by steepest-descent move/swap neighborhoods. Each round
-/// batch-prestages all neighbors (`solve_batch`, plus warm starts from
+/// batch-prestages all neighbors (`solve_batch_cancellable`, plus warm starts from
 /// eqcache neighbors when the model enables them) and then scores them
 /// in a fixed order.
 fn local_search<M: CorePowerModel + Sync>(

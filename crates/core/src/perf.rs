@@ -4,26 +4,16 @@
 //! interface the paper describes: given the feature vectors of processes
 //! assigned to cores sharing one last-level cache, predict each process's
 //! effective cache size, MPA, and SPI *before running them together*.
+//!
+//! A model carries one [`SolverKind`] and routes every solve through the
+//! equilibrium module's two front doors:
+//! [`PerformanceModel::solve_cancellable`] for one set and
+//! [`PerformanceModel::solve_batch_cancellable`] for many.
 
-use crate::equilibrium::{self, Equilibrium, SolveOptions};
+use crate::equilibrium::{self, Equilibrium, SolverKind};
 use crate::feature::FeatureVector;
 use crate::ModelError;
 use mathkit::sync::CancelToken;
-
-/// Which equilibrium solver to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverKind {
-    /// Guaranteed-convergent nested bisection (default).
-    #[default]
-    Bisection,
-    /// Newton–Raphson, the paper's named method.
-    Newton,
-    /// The staged fallback chain ([`equilibrium::solve_robust`]): Newton,
-    /// perturbed restarts, bounded fixed point, heuristic split. Never
-    /// fails on solver trouble; check
-    /// [`Equilibrium::diagnostics`] for degradation.
-    Robust,
-}
 
 /// Prediction for one process in a co-scheduled set.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,7 +58,7 @@ impl PerformanceModel {
     /// Creates a model for an `assoc`-way shared cache using the default
     /// solver.
     pub fn new(assoc: usize) -> Self {
-        PerformanceModel { assoc, solver: SolverKind::Bisection }
+        PerformanceModel { assoc, solver: SolverKind::default() }
     }
 
     /// Selects the equilibrium solver (builder style).
@@ -133,54 +123,23 @@ impl PerformanceModel {
         cancel: &CancelToken,
     ) -> Result<Equilibrium, ModelError> {
         let refs: Vec<&FeatureVector> = features.iter().map(|f| f.as_ref()).collect();
-        match self.solver {
-            SolverKind::Bisection => equilibrium::solve_cancellable(&refs, self.assoc, cancel),
-            SolverKind::Newton => equilibrium::solve_newton_cancellable(&refs, self.assoc, cancel),
-            SolverKind::Robust => equilibrium::solve_robust_cancellable(
-                &refs,
-                self.assoc,
-                &SolveOptions::default(),
-                cancel,
-            ),
-        }
+        equilibrium::solve_cancellable(&refs, self.assoc, self.solver, cancel)
     }
 
     /// Solves many co-run sets in one pass with the configured solver,
     /// amortizing scratch allocations and fanning chunks out over
-    /// `workers` threads (`0` = auto). Each set's result is bit-identical
-    /// to a standalone [`PerformanceModel::solve`] of the same features.
-    ///
-    /// # Errors
-    ///
-    /// The first per-set error in set order, if any (the configured
-    /// solver's usual errors apply per set).
+    /// `workers` threads (`0` = auto). Returns one `Result` per set, in
+    /// set order, each bit-identical to a standalone
+    /// [`PerformanceModel::solve`] of the same features — errors included —
+    /// so callers that tolerate individual failures (the estimate
+    /// prestage) keep going.
     pub fn solve_batch_cancellable(
         &self,
         sets: &[equilibrium::CorunSet<'_>],
         workers: usize,
         cancel: &CancelToken,
-    ) -> Result<Vec<Equilibrium>, ModelError> {
-        let mut out = Vec::with_capacity(sets.len());
-        for res in self.solve_batch_results(sets, workers, cancel) {
-            out.push(res?);
-        }
-        Ok(out)
-    }
-
-    /// Batch solve returning one `Result` per set, so callers that can
-    /// tolerate individual failures (the estimate prestage) keep going.
-    pub(crate) fn solve_batch_results(
-        &self,
-        sets: &[equilibrium::CorunSet<'_>],
-        workers: usize,
-        cancel: &CancelToken,
     ) -> Vec<Result<Equilibrium, ModelError>> {
-        let strategy = match self.solver {
-            SolverKind::Bisection => equilibrium::BatchStrategy::Bisection,
-            SolverKind::Newton => equilibrium::BatchStrategy::Newton,
-            SolverKind::Robust => equilibrium::BatchStrategy::Robust(SolveOptions::default()),
-        };
-        equilibrium::solve_batch_results(sets, self.assoc, strategy, workers, cancel)
+        equilibrium::solve_batch_cancellable(sets, self.assoc, self.solver, workers, cancel)
     }
 }
 
@@ -216,7 +175,8 @@ mod tests {
         let feats = vec![fv(SpecWorkload::Art), fv(SpecWorkload::Twolf)];
         let b = PerformanceModel::new(16).predict(&feats).unwrap();
         let n = PerformanceModel::new(16).with_solver(SolverKind::Newton).predict(&feats).unwrap();
-        let r = PerformanceModel::new(16).with_solver(SolverKind::Robust).predict(&feats).unwrap();
+        let robust = SolverKind::Robust(crate::equilibrium::SolveOptions::default());
+        let r = PerformanceModel::new(16).with_solver(robust).predict(&feats).unwrap();
         assert!((b[0].ways - n[0].ways).abs() < 0.05);
         assert!((b[1].mpa - n[1].mpa).abs() < 0.01);
         assert!((b[0].ways - r[0].ways).abs() < 0.05);
@@ -239,24 +199,38 @@ mod tests {
 
     #[test]
     fn batch_matches_sequential_for_every_solver() {
-        use crate::equilibrium::CorunSet;
+        use crate::equilibrium::{CorunSet, SolveOptions};
         let a = fv(SpecWorkload::Mcf);
         let b = fv(SpecWorkload::Gzip);
         let c = fv(SpecWorkload::Art);
         let d = fv(SpecWorkload::Twolf);
+        // Built for 8 ways: every set containing it fails validation.
+        let wrong = fv(SpecWorkload::Vpr).with_assoc(8).unwrap();
         let sets = vec![
             CorunSet { features: vec![&a, &b] },
             CorunSet { features: vec![&c, &d] },
             CorunSet { features: vec![&a, &b] }, // duplicate: solved once, cloned
+            CorunSet { features: vec![&wrong, &c] },
             CorunSet { features: vec![&a, &c, &d] },
+            CorunSet { features: vec![&wrong, &c] }, // duplicate of a failed set
         ];
-        for kind in [SolverKind::Bisection, SolverKind::Newton, SolverKind::Robust] {
+        let robust = SolverKind::Robust(SolveOptions::default());
+        for kind in [SolverKind::Bisection, SolverKind::Newton, robust] {
             let model = PerformanceModel::new(16).with_solver(kind);
-            let batch = model
-                .solve_batch_cancellable(&sets, 2, &CancelToken::never())
-                .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
-            for (set, got) in sets.iter().zip(&batch) {
-                let solo = model.solve(&set.features).unwrap();
+            let batch = model.solve_batch_cancellable(&sets, 2, &CancelToken::never());
+            assert_eq!(batch.len(), sets.len(), "{kind:?}");
+            for (i, (set, got)) in sets.iter().zip(&batch).enumerate() {
+                // Only the two sets built to fail may take the `Err` arm.
+                assert_eq!(got.is_err(), matches!(i, 3 | 5), "{kind:?} set {i}");
+                let (solo, got) = match (model.solve(&set.features), got) {
+                    (Ok(solo), Ok(got)) => (solo, got),
+                    (Err(solo), Err(got)) => {
+                        assert!(matches!(solo, ModelError::EquilibriumFailed(_)), "{kind:?}");
+                        assert_eq!(format!("{solo:?}"), format!("{got:?}"), "{kind:?} set {i}");
+                        continue;
+                    }
+                    (solo, got) => panic!("{kind:?} set {i}: solo {solo:?} vs batch {got:?}"),
+                };
                 assert_eq!(solo.sizes.len(), got.sizes.len(), "{kind:?}");
                 for (x, y) in solo.sizes.iter().zip(&got.sizes) {
                     assert_eq!(x.to_bits(), y.to_bits(), "{kind:?}");

@@ -23,8 +23,9 @@
 use crate::harness::{self, RunScale};
 use cmpsim::machine::MachineConfig;
 use mpmc_model::crosscheck;
+use mpmc_model::equilibrium::{SolveOptions, SolverKind};
 use mpmc_model::feature::FeatureVector;
-use mpmc_model::perf::{PerformanceModel, SolverKind};
+use mpmc_model::perf::PerformanceModel;
 use mpmc_model::ModelError;
 use std::fmt::Write as _;
 use workloads::spec::SpecWorkload;
@@ -323,7 +324,8 @@ pub fn run(cfg: &DiffConfig) -> Result<ValidationReport, ModelError> {
 
     let mixes = mix_list(suite.len(), cfg.max_mixes);
     let bisect = PerformanceModel::new(assoc);
-    let robust = PerformanceModel::new(assoc).with_solver(SolverKind::Robust);
+    let robust =
+        PerformanceModel::new(assoc).with_solver(SolverKind::Robust(SolveOptions::default()));
 
     // Simulate every mix (placement: one process per core, first die).
     let placements: Vec<harness::IndexPlacement> = mixes

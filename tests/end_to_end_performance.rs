@@ -1,7 +1,8 @@
 //! Cross-crate integration: the full §3 pipeline — profile on the
 //! simulator, predict with the model, validate against a measured co-run.
 
-use mpmc::model::perf::{PerformanceModel, SolverKind};
+use mpmc::model::equilibrium::SolverKind;
+use mpmc::model::perf::PerformanceModel;
 use mpmc::model::profile::{ProfileOptions, Profiler};
 use mpmc::sim::engine::{simulate, Placement, SimOptions};
 use mpmc::sim::machine::MachineConfig;

@@ -7,7 +7,8 @@
 //! prediction. A panic anywhere in these tests is a bug.
 
 use cmpsim::faults::{Fault, FaultPlan};
-use mpmc::model::equilibrium::{self, SolveMethod, SolveOptions};
+use mpmc::math::sync::CancelToken;
+use mpmc::model::equilibrium::{self, SolveMethod, SolveOptions, SolverKind};
 use mpmc::model::feature::FeatureVector;
 use mpmc::model::histogram::ReuseHistogram;
 use mpmc::model::persist;
@@ -169,7 +170,13 @@ fn starved_solver_budget_degrades_gracefully() {
     // Newton cannot converge to tol = 0; the chain must move on.
     let opts =
         SolveOptions { tol: 0.0, max_newton_iter: 2, newton_retries: 1, ..SolveOptions::default() };
-    let eq = equilibrium::solve_robust(&refs, assoc, &opts).expect("chain never fails");
+    let eq = equilibrium::solve_cancellable(
+        &refs,
+        assoc,
+        SolverKind::Robust(opts),
+        &CancelToken::never(),
+    )
+    .expect("chain never fails");
     assert!(!eq.diagnostics.fallbacks.is_empty(), "expected recorded fallbacks");
     let total: f64 = eq.sizes.iter().sum();
     assert!((total - assoc as f64).abs() < 1e-2 * assoc as f64, "sum of ways {total}");
@@ -177,9 +184,17 @@ fn starved_solver_budget_degrades_gracefully() {
         assert!(eq.sizes[i].is_finite() && eq.spis[i].is_finite() && eq.spis[i] > 0.0);
     }
 
-    // No time at all: the heuristic last resort, flagged degraded.
-    let opts = SolveOptions { time_budget_s: 0.0, ..SolveOptions::default() };
-    let eq = equilibrium::solve_robust(&refs, assoc, &opts).expect("chain never fails");
+    // No budget at all (Newton cannot converge, fixed point skipped):
+    // the heuristic last resort, flagged degraded.
+    let opts =
+        SolveOptions { tol: 0.0, max_newton_iter: 2, newton_retries: 0, max_fixed_point_iter: 0 };
+    let eq = equilibrium::solve_cancellable(
+        &refs,
+        assoc,
+        SolverKind::Robust(opts),
+        &CancelToken::never(),
+    )
+    .expect("chain never fails");
     assert_eq!(eq.diagnostics.method, SolveMethod::ProportionalShare);
     assert!(eq.diagnostics.degraded);
     let total: f64 = eq.sizes.iter().sum();

@@ -217,7 +217,8 @@ fn candidate_estimation_matches_sequential_loop() {
 fn solve_batch_matches_sequential_for_all_worker_counts() {
     use mpmc::math::sync::CancelToken;
     use mpmc::model::equilibrium::CorunSet;
-    use mpmc::model::perf::{PerformanceModel, SolverKind};
+    use mpmc::model::equilibrium::{SolveOptions, SolverKind};
+    use mpmc::model::perf::PerformanceModel;
 
     let machine = MachineConfig::four_core_server();
     let profiles: Vec<ProcessProfile> = [
@@ -246,13 +247,17 @@ fn solve_batch_matches_sequential_for_all_worker_counts() {
     let scrambled: Vec<CorunSet<'_>> =
         scramble.iter().map(|&i| CorunSet { features: sets[i].features.clone() }).collect();
 
-    for kind in [SolverKind::Bisection, SolverKind::Newton, SolverKind::Robust] {
+    for kind in
+        [SolverKind::Bisection, SolverKind::Newton, SolverKind::Robust(SolveOptions::default())]
+    {
         let model = PerformanceModel::new(machine.l2_assoc()).with_solver(kind);
         let sequential: Vec<_> =
             sets.iter().map(|s| model.solve(&s.features).expect("sequential solve")).collect();
         for workers in WORKER_COUNTS {
             let batch = model
                 .solve_batch_cancellable(&sets, workers, &CancelToken::never())
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()
                 .expect("batch solve");
             for (i, (s, b)) in sequential.iter().zip(&batch).enumerate() {
                 assert_eq!(s.window.to_bits(), b.window.to_bits(), "{kind:?} set {i} w={workers}");
@@ -264,6 +269,8 @@ fn solve_batch_matches_sequential_for_all_worker_counts() {
             // on its own contents, never on batch position.
             let shuffled = model
                 .solve_batch_cancellable(&scrambled, workers, &CancelToken::never())
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()
                 .expect("scrambled batch solve");
             for (pos, &orig) in scramble.iter().enumerate() {
                 let (s, b) = (&sequential[orig], &shuffled[pos]);

@@ -109,7 +109,8 @@ proptest! {
         scramble_seed in 0u64..1000,
     ) {
         use mpmc::model::equilibrium::CorunSet;
-        use mpmc::model::perf::{PerformanceModel, SolverKind};
+        use mpmc::model::equilibrium::{SolveOptions, SolverKind};
+        use mpmc::model::perf::PerformanceModel;
 
         let assoc = 16usize;
         let mut features = Vec::new();
@@ -141,10 +142,12 @@ proptest! {
             .iter()
             .map(|idxs| CorunSet { features: idxs.iter().map(|&i| &features[i]).collect() })
             .collect();
-        for kind in [SolverKind::Bisection, SolverKind::Newton, SolverKind::Robust] {
+        for kind in [SolverKind::Bisection, SolverKind::Newton, SolverKind::Robust(SolveOptions::default())] {
             let model = PerformanceModel::new(assoc).with_solver(kind);
             let batch = model
-                .solve_batch_cancellable(&corun, workers, &mpmc::math::sync::CancelToken::never());
+                .solve_batch_cancellable(&corun, workers, &mpmc::math::sync::CancelToken::never())
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>();
             prop_assert!(batch.is_ok(), "{kind:?}: {:?}", batch.err());
             let batch = batch.unwrap();
             for (i, (set, got)) in corun.iter().zip(&batch).enumerate() {
@@ -181,8 +184,11 @@ proptest! {
             features.push(FeatureVector::new(name, hist, api, spi, assoc).unwrap());
         }
         let refs: Vec<&FeatureVector> = features.iter().collect();
-        let eq = equilibrium::solve_robust(&refs, assoc, &equilibrium::SolveOptions::default())
-            .unwrap();
+        let robust = equilibrium::SolverKind::Robust(equilibrium::SolveOptions::default());
+        let eq = equilibrium::solve_cancellable(
+            &refs, assoc, robust, &mpmc::math::sync::CancelToken::never(),
+        )
+        .unwrap();
         let total: f64 = eq.sizes.iter().sum();
         if eq.cache_filled {
             prop_assert!(
