@@ -21,11 +21,13 @@
 //! requests carry `retry_after_ms`.
 //!
 //! Results go to `BENCH_serve.json`: throughput, shed rate, outcome
-//! counts, and client-observed p50/p90/p99 latency from
-//! `mathkit::latency`.
+//! counts, and client-observed p50/p90/p99 latency, exact over every
+//! answered request (`mathkit::stats::percentile`). Each scheduled
+//! request is answered, a deliberate disconnect, or dropped; requests a
+//! client abandons after a failed connect count as dropped.
 
 use cmpsim::machine::MachineConfig;
-use mathkit::latency::LatencyHistogram;
+use mathkit::stats::percentile;
 use mpmc_model::feature::FeatureVector;
 use mpmc_model::histogram::ReuseHistogram;
 use mpmc_model::power::PowerModel;
@@ -149,23 +151,27 @@ struct Client {
 impl Client {
     fn connect(addr: std::net::SocketAddr) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        // Requests go out in one write; never hold one behind an ACK.
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(20)))?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Client { stream, reader })
     }
 
     fn roundtrip(&mut self, line: &str, fault: WireFault) -> std::io::Result<Option<Json>> {
+        let framed = format!("{line}\n");
         match fault {
             WireFault::SlowLoris => {
-                // Dribble the request out in three chunks with pauses;
-                // the daemon's capped line reader must keep state.
-                let bytes = line.as_bytes();
-                for chunk in bytes.chunks(bytes.len().div_ceil(3).max(1)) {
+                // Dribble the request out in three chunks with pauses
+                // (the last carries the newline); the daemon's capped
+                // line reader must keep state.
+                let bytes = framed.as_bytes();
+                for (i, chunk) in bytes.chunks(bytes.len().div_ceil(3)).enumerate() {
+                    if i > 0 {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
                     self.stream.write_all(chunk)?;
-                    self.stream.flush()?;
-                    std::thread::sleep(Duration::from_millis(1));
                 }
-                self.stream.write_all(b"\n")?;
             }
             WireFault::Disconnect => {
                 // Half a line, then hang up mid-request.
@@ -174,12 +180,8 @@ impl Client {
                 self.stream.flush()?;
                 return Ok(None);
             }
-            _ => {
-                self.stream.write_all(line.as_bytes())?;
-                self.stream.write_all(b"\n")?;
-            }
+            _ => self.stream.write_all(framed.as_bytes())?,
         }
-        self.stream.flush()?;
         let mut buf = String::new();
         if self.reader.read_line(&mut buf)? == 0 {
             return Ok(None); // daemon closed on us (connection cap)
@@ -190,7 +192,104 @@ impl Client {
     }
 }
 
-#[allow(clippy::too_many_lines)]
+/// Runs load client `c`'s share of the schedule (`per_client` requests)
+/// on one connection, reconnecting after each disconnect. Returns the
+/// latency in ns of every answered request.
+fn drive_client(
+    addr: std::net::SocketAddr,
+    c: u64,
+    per_client: u64,
+    requests: &[String],
+    wire_plan: &FaultPlan,
+    outcomes: &Outcomes,
+) -> Vec<f64> {
+    let mut samples = Vec::new();
+    let mut client = match Client::connect(addr) {
+        Ok(cl) => cl,
+        Err(_) => {
+            outcomes.dropped.fetch_add(per_client, Ordering::Relaxed);
+            return samples;
+        }
+    };
+    for j in 0..per_client {
+        let event = c * per_client + j;
+        let fault = wire_plan.wire_fault(event);
+        let line = match fault {
+            WireFault::Malformed => "{broken::".to_string(),
+            WireFault::ExpiredDeadline => {
+                let rank = zipf_rank(mix64(event ^ 0xDEAD), requests.len());
+                let base = &requests[rank];
+                format!("{},\"deadline_ms\":0}}", &base[..base.len() - 1])
+            }
+            _ => {
+                let rank = zipf_rank(mix64(event), requests.len());
+                requests[rank].clone()
+            }
+        };
+        #[allow(clippy::disallowed_methods)]
+        let sent = Instant::now();
+        let reconnect = match client.roundtrip(&line, fault) {
+            Ok(Some(resp)) => {
+                samples.push(sent.elapsed().as_nanos() as f64);
+                let kind = resp.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str);
+                match kind {
+                    None => {
+                        if resp.get("degraded") == Some(&Json::Bool(true)) {
+                            outcomes.degraded.fetch_add(1, Ordering::Relaxed);
+                        }
+                        outcomes.ok.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Some("overloaded") => {
+                        outcomes.shed.fetch_add(1, Ordering::Relaxed);
+                        // Honor the backoff hint (capped so the bench stays fast).
+                        let hint = resp
+                            .get("error")
+                            .and_then(|e| e.get("retry_after_ms"))
+                            .and_then(Json::as_f64)
+                            .unwrap_or(1.0);
+                        std::thread::sleep(Duration::from_millis((hint as u64).min(3)));
+                    }
+                    Some("deadline_exceeded") => {
+                        outcomes.deadline.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Some("too_many_connections") => {
+                        outcomes.conn_rejected.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Some(_) => {
+                        outcomes.usage.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                // The daemon closes a connection it refused at the cap.
+                kind == Some("too_many_connections")
+            }
+            Ok(None) | Err(_) => {
+                // Deliberate disconnect, daemon-closed socket, or wire
+                // trouble: reconnect and keep the schedule going.
+                if fault == WireFault::Disconnect {
+                    outcomes.reconnects.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    outcomes.dropped.fetch_add(1, Ordering::Relaxed);
+                }
+                true
+            }
+        };
+        if reconnect {
+            // Hang up before dialing again, so this client never holds two
+            // of the daemon's capped connections at once.
+            let _ = client.stream.shutdown(std::net::Shutdown::Both);
+            match Client::connect(addr) {
+                Ok(fresh) => client = fresh,
+                Err(_) => {
+                    // The rest of this client's schedule is abandoned.
+                    outcomes.dropped.fetch_add(per_client - j - 1, Ordering::Relaxed);
+                    return samples;
+                }
+            }
+        }
+    }
+    samples
+}
+
 fn run_overload(cfg: &Config) {
     let machine = MachineConfig::two_core_workstation();
     let power = PowerModel::from_parts(10.0, vec![2e-7, 1e-6, 3e-6, 1e-7, 1e-7]).expect("power");
@@ -226,7 +325,6 @@ fn run_overload(cfg: &Config) {
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
 
-    let latency = LatencyHistogram::default();
     let outcomes = Outcomes::default();
     // Wall-clock is the measurement here, not a model input.
     #[allow(clippy::disallowed_methods)]
@@ -236,90 +334,17 @@ fn run_overload(cfg: &Config) {
         let service = &service;
         let server = scope.spawn(move || service.run_tcp(listener));
 
-        std::thread::scope(|load| {
-            for c in 0..clients {
-                let (requests, wire_plan, latency, outcomes) =
-                    (&requests, &wire_plan, &latency, &outcomes);
-                load.spawn(move || {
-                    let mut client = match Client::connect(addr) {
-                        Ok(cl) => cl,
-                        Err(_) => return,
-                    };
-                    for j in 0..per_client {
-                        let event = c as u64 * per_client + j;
-                        let fault = wire_plan.wire_fault(event);
-                        let line = match fault {
-                            WireFault::Malformed => "{broken::".to_string(),
-                            WireFault::ExpiredDeadline => {
-                                let rank = zipf_rank(mix64(event ^ 0xDEAD), requests.len());
-                                let base = &requests[rank];
-                                format!("{},\"deadline_ms\":0}}", &base[..base.len() - 1])
-                            }
-                            _ => {
-                                let rank = zipf_rank(mix64(event), requests.len());
-                                requests[rank].clone()
-                            }
-                        };
-                        #[allow(clippy::disallowed_methods)]
-                        let sent = Instant::now();
-                        match client.roundtrip(&line, fault) {
-                            Ok(Some(resp)) => {
-                                latency.record(
-                                    u64::try_from(sent.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                                );
-                                let kind = resp
-                                    .get("error")
-                                    .and_then(|e| e.get("kind"))
-                                    .and_then(Json::as_str);
-                                match kind {
-                                    None => {
-                                        if resp.get("degraded") == Some(&Json::Bool(true)) {
-                                            outcomes.degraded.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        outcomes.ok.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    Some("overloaded") => {
-                                        outcomes.shed.fetch_add(1, Ordering::Relaxed);
-                                        // Honor the backoff hint (capped so
-                                        // the bench stays fast).
-                                        let hint = resp
-                                            .get("error")
-                                            .and_then(|e| e.get("retry_after_ms"))
-                                            .and_then(Json::as_f64)
-                                            .unwrap_or(1.0);
-                                        std::thread::sleep(Duration::from_millis(
-                                            (hint as u64).min(3),
-                                        ));
-                                    }
-                                    Some("deadline_exceeded") => {
-                                        outcomes.deadline.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    Some("too_many_connections") => {
-                                        outcomes.conn_rejected.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    Some(_) => {
-                                        outcomes.usage.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                            Ok(None) | Err(_) => {
-                                // Deliberate disconnect, daemon-closed
-                                // socket, or wire trouble: reconnect and
-                                // keep the schedule going.
-                                if fault == WireFault::Disconnect {
-                                    outcomes.reconnects.fetch_add(1, Ordering::Relaxed);
-                                } else {
-                                    outcomes.dropped.fetch_add(1, Ordering::Relaxed);
-                                }
-                                match Client::connect(addr) {
-                                    Ok(fresh) => client = fresh,
-                                    Err(_) => return,
-                                }
-                            }
-                        }
-                    }
-                });
-            }
+        // Client-observed latency of every answered request, in ns.
+        let latency: Vec<f64> = std::thread::scope(|load| {
+            let handles: Vec<_> = (0..clients as u64)
+                .map(|c| {
+                    let (requests, wire_plan, outcomes) = (&requests, &wire_plan, &outcomes);
+                    load.spawn(move || {
+                        drive_client(addr, c, per_client, requests, wire_plan, outcomes)
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().expect("load client")).collect()
         });
 
         // Collect server-side stats, then stop the daemon.
@@ -339,12 +364,12 @@ fn write_report(
     cfg: &Config,
     elapsed_s: f64,
     scheduled: u64,
-    latency: &LatencyHistogram,
+    latency: &[f64],
     o: &Outcomes,
     stats: Option<Json>,
 ) {
     let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
-    let answered = latency.count();
+    let answered = latency.len() as u64;
     let shed = get(&o.shed);
     let shed_rate = if answered > 0 { shed as f64 / answered as f64 } else { 0.0 };
     let mut out = String::new();
@@ -374,9 +399,10 @@ fn write_report(
     let _ = writeln!(out, "    \"dropped\": {}", get(&o.dropped));
     let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"latency\": {{");
-    let _ = writeln!(out, "    \"p50_ns\": {},", latency.percentile(0.50));
-    let _ = writeln!(out, "    \"p90_ns\": {},", latency.percentile(0.90));
-    let _ = writeln!(out, "    \"p99_ns\": {}", latency.percentile(0.99));
+    let ns = |q: f64| percentile(latency, q).round() as u64;
+    let _ = writeln!(out, "    \"p50_ns\": {},", ns(0.50));
+    let _ = writeln!(out, "    \"p90_ns\": {},", ns(0.90));
+    let _ = writeln!(out, "    \"p99_ns\": {}", ns(0.99));
     let _ = writeln!(out, "  }},");
     let server_stats = stats
         .as_ref()

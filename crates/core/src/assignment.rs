@@ -716,12 +716,12 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
     }
 
     /// Evaluates [`CombinedModel::estimate_after_assigning`] for every
-    /// candidate core in parallel (`workers = 0` means auto), returning
-    /// one estimate per entry of `cores` in order. The workers share the
-    /// equilibrium memo cache, so co-runner sets common to several
-    /// candidates (every die the tentative process does not touch) are
-    /// solved once. Estimation is deterministic, so the result is
-    /// identical to a sequential loop for any worker count.
+    /// candidate core, returning one estimate per entry of `cores` in
+    /// order. The contended co-run sets of all candidates are first
+    /// batch-solved into the equilibrium memo cache on `workers` threads
+    /// (`0` means auto), each distinct set once; the candidates are then
+    /// walked in order on cache hits. Estimation is deterministic, so the
+    /// result is identical to a sequential loop for any worker count.
     ///
     /// # Errors
     ///
@@ -734,10 +734,7 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         profile_idx: usize,
         cores: &[usize],
         workers: usize,
-    ) -> Result<Vec<f64>, ModelError>
-    where
-        M: Sync,
-    {
+    ) -> Result<Vec<f64>, ModelError> {
         self.estimate_candidates_cancellable(
             profiles,
             current,
@@ -749,9 +746,9 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
     }
 
     /// [`CombinedModel::estimate_candidates`] with one cooperative
-    /// cancellation token shared by all workers: when it fires, every
-    /// in-flight candidate stops at its next solver iteration and the
-    /// sweep reports [`mathkit::MathError::Cancelled`].
+    /// cancellation token shared by the batch solve and the candidate
+    /// walk: when it fires, the in-flight solve stops at its next solver
+    /// iteration and the sweep reports [`mathkit::MathError::Cancelled`].
     ///
     /// # Errors
     ///
@@ -765,10 +762,7 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         cores: &[usize],
         workers: usize,
         cancel: &CancelToken,
-    ) -> Result<Vec<f64>, ModelError>
-    where
-        M: Sync,
-    {
+    ) -> Result<Vec<f64>, ModelError> {
         // Prestage the union of every candidate's contended co-run sets so
         // the per-candidate estimates below mostly hit the shared memo
         // cache. Invalid candidates are skipped here — they report their
@@ -786,9 +780,20 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         }
         self.prestage_sets(profiles, sets, workers, cancel)?;
 
-        mathkit::parallel::try_par_map(cores.to_vec(), workers, |_, core| {
-            self.estimate_after_assigning_cancellable(profiles, current, profile_idx, core, cancel)
-        })
+        // After the prestage each candidate is cache hits plus the Eq. 10/11
+        // walk, a few microseconds: less than a thread spawn, so in order.
+        cores
+            .iter()
+            .map(|&core| {
+                self.estimate_after_assigning_cancellable(
+                    profiles,
+                    current,
+                    profile_idx,
+                    core,
+                    cancel,
+                )
+            })
+            .collect()
     }
 
     /// Power of the die for one concrete process combination: the chosen

@@ -23,8 +23,12 @@
 //! | `shutdown`   | —                                     | — (daemon stops) |
 //!
 //! All sessions of one service share a single [`CombinedModel`], so the
-//! bounded equilibrium memo cache is warmed across connections; `assign`
-//! fans its candidate placements out over [`mathkit::parallel`] workers.
+//! bounded equilibrium memo cache is warmed across connections. stdio
+//! and every TCP connection run one session loop that writes each
+//! response and its newline in a single write; TCP sockets set
+//! `TCP_NODELAY`. `assign` batch-solves its candidates' missing co-run
+//! sets over [`mathkit::parallel`] workers, then walks the candidates in
+//! order on cache hits.
 //!
 //! # Overload behavior (DESIGN.md §13)
 //!
@@ -83,7 +87,8 @@ const POLL_INTERVAL: Duration = Duration::from_millis(100);
 /// `mpmc serve` flags onto the fields it exposes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeOptions {
-    /// Resolved candidate fan-out width for `assign` (0 = auto).
+    /// Resolved batch solve width (0 = auto) for the cache misses of an
+    /// `assign` and for `optimize`.
     pub workers: usize,
     /// Bound on the shared equilibrium memo cache (entries).
     pub cache_capacity: usize,
@@ -305,10 +310,11 @@ impl PredictionService {
     /// Creates a service for `machine` with the fitted `power` model and
     /// default overload limits.
     ///
-    /// `workers` is the *resolved* candidate fan-out width (the CLI
-    /// resolves `--workers` / `MPMC_WORKERS` before constructing the
-    /// service; `0` still means auto at call time). `cache_capacity`
-    /// bounds the shared equilibrium memo cache.
+    /// `workers` is the *resolved* batch solve width for the cache
+    /// misses of an `assign` and for `optimize` (the CLI resolves
+    /// `--workers` / `MPMC_WORKERS` before constructing the service; `0`
+    /// still means auto at call time). `cache_capacity` bounds the shared
+    /// equilibrium memo cache.
     pub fn new(
         machine: MachineConfig,
         power: PowerModel,
@@ -366,7 +372,7 @@ impl PredictionService {
         &self.opts
     }
 
-    /// The resolved candidate fan-out width.
+    /// The resolved batch solve width for `assign` misses and `optimize`.
     pub fn workers(&self) -> usize {
         self.opts.workers
     }
@@ -430,41 +436,15 @@ impl PredictionService {
 
     /// Serves one blocking session over arbitrary line-oriented streams
     /// (stdin/stdout in `mpmc serve --stdio`; in-memory buffers in
-    /// tests). Returns at end of input or after a `shutdown` request.
+    /// tests). Returns at end of input, after a `shutdown` request, or
+    /// at the first line read after
+    /// [`request_shutdown`](PredictionService::request_shutdown).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors on the streams.
-    pub fn run_stdio<R: BufRead, W: Write>(
-        &self,
-        mut input: R,
-        mut output: W,
-    ) -> std::io::Result<()> {
-        let model = self.model();
-        let mut lines = LineReader::new(self.opts.max_line_bytes);
-        loop {
-            let (response, stop) = match lines.poll(&mut input)? {
-                ReadOutcome::Eof => return Ok(()),
-                ReadOutcome::Line(line) => {
-                    let trimmed = line.trim();
-                    if trimmed.is_empty() {
-                        continue;
-                    }
-                    self.handle_line(&model, trimmed)
-                }
-                ReadOutcome::TooLong { dropped } => (self.line_guard_response(dropped), false),
-                ReadOutcome::BadUtf8 => (
-                    self.oob_response(&ServiceError::usage("request line is not valid UTF-8")),
-                    false,
-                ),
-            };
-            output.write_all(response.as_bytes())?;
-            output.write_all(b"\n")?;
-            output.flush()?;
-            if stop {
-                return Ok(());
-            }
-        }
+    pub fn run_stdio<R: BufRead, W: Write>(&self, input: R, output: W) -> std::io::Result<()> {
+        self.session(&self.model(), input, output)
     }
 
     /// Serves connections from `listener` until a `shutdown` request
@@ -521,23 +501,40 @@ impl PredictionService {
         })
     }
 
-    /// One TCP connection: short read timeouts let the loop poll the
-    /// shutdown flag without losing partially received lines (the
-    /// capped line reader keeps them across retries).
+    /// One TCP connection: short read timeouts let the session loop poll
+    /// the shutdown flag without losing partially received lines (the
+    /// capped line reader keeps them across retries). `TCP_NODELAY`
+    /// sends each single-write response at once instead of holding it
+    /// until the client ACKs the previous one.
     fn serve_connection(
         &self,
         model: &CombinedModel<'_, PowerModel>,
         stream: TcpStream,
     ) -> std::io::Result<()> {
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(POLL_INTERVAL))?;
-        let mut writer = stream.try_clone()?;
-        let mut reader = BufReader::new(stream);
+        let writer = stream.try_clone()?;
+        self.session(model, BufReader::new(stream), writer)
+    }
+
+    /// The session loop behind [`run_stdio`](PredictionService::run_stdio)
+    /// and every TCP connection: read one capped line, answer it, write
+    /// the response with its newline in a single `write_all`. Returns at
+    /// end of input, after a `shutdown` request, or once the shutdown
+    /// flag is seen between lines. `WouldBlock`/`TimedOut`/`Interrupted`
+    /// reads (a TCP read timeout) retry with the partial line kept.
+    fn session<R: BufRead, W: Write>(
+        &self,
+        model: &CombinedModel<'_, PowerModel>,
+        mut input: R,
+        mut output: W,
+    ) -> std::io::Result<()> {
         let mut lines = LineReader::new(self.opts.max_line_bytes);
         loop {
             if self.is_shutdown() {
                 return Ok(());
             }
-            let outcome = match lines.poll(&mut reader) {
+            let outcome = match lines.poll(&mut input) {
                 Ok(outcome) => outcome,
                 Err(e)
                     if matches!(
@@ -549,7 +546,7 @@ impl PredictionService {
                 }
                 Err(e) => return Err(e),
             };
-            let (response, stop) = match outcome {
+            let (mut response, stop) = match outcome {
                 ReadOutcome::Eof => return Ok(()),
                 ReadOutcome::Line(line) => {
                     let trimmed = line.trim();
@@ -564,9 +561,11 @@ impl PredictionService {
                     false,
                 ),
             };
-            writer.write_all(response.as_bytes())?;
-            writer.write_all(b"\n")?;
-            writer.flush()?;
+            // One write per response: a separate newline write would sit
+            // behind Nagle until the peer's delayed ACK.
+            response.push('\n');
+            output.write_all(response.as_bytes())?;
+            output.flush()?;
             if stop {
                 return Ok(());
             }
@@ -1554,6 +1553,76 @@ mod tests {
         assert!(lines.iter().all(|r| r.get("ok") == Some(&Json::Bool(true))));
         assert_eq!(lines[2].get("op").and_then(Json::as_str), Some("shutdown"));
         assert!(svc.is_shutdown());
+    }
+
+    /// A sink that counts `write` calls; `write_all` of a buffer it
+    /// accepts whole is exactly one.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn session_writes_each_response_once() {
+        let m = machine();
+        let svc = PredictionService::with_options(
+            m.clone(),
+            power_model(),
+            ServeOptions {
+                workers: 1,
+                cache_capacity: 64,
+                max_line_bytes: 256,
+                ..Default::default()
+            },
+        );
+        for (name, tail) in [("a", 0.4), ("b", 0.1)] {
+            svc.register_profile(name, synthetic_profile(name, tail, 0.03, &m)).unwrap();
+        }
+        let mut script = Vec::new();
+        for line in [
+            r#"{"id":1,"op":"ping"}"#,
+            r#"{"id":2,"op":"estimate","assignment":[["a"],["b"]]}"#,
+            r#"{"id":3,"op":"assign","process":"b","current":[["a"]]}"#,
+            r#"{"id":4,"op":"frobnicate"}"#,
+        ] {
+            script.extend_from_slice(line.as_bytes());
+            script.push(b'\n');
+        }
+        script.extend_from_slice(format!("{{\"pad\":\"{}\"}}\n", "x".repeat(400)).as_bytes());
+        script.extend_from_slice(b"{\"op\":\"ping\",\"x\":\"\xff\xfe\"}\n");
+        script.extend_from_slice(b"{\"id\":7,\"op\":\"shutdown\"}\n");
+        let mut out = CountingWriter::default();
+        svc.run_stdio(&script[..], &mut out).unwrap();
+        let text = String::from_utf8(out.bytes).unwrap();
+        let lines: Vec<Json> = text.lines().map(|l| json::parse(l).unwrap()).collect();
+        assert_eq!(lines.len(), 7, "{text}");
+        assert_eq!(out.writes, lines.len(), "one write per response, newline included");
+        let kinds: Vec<Option<&str>> = lines
+            .iter()
+            .map(|r| r.get("error").and_then(|e| e.get("kind")).and_then(Json::as_str))
+            .collect();
+        assert_eq!(kinds[..4], [None, None, None, Some("usage")], "{text}");
+        assert_eq!(kinds[4], Some("line_too_long"));
+        assert_eq!(kinds[5], Some("usage"), "bad UTF-8 is a typed usage error");
+        assert!(text.ends_with('\n'));
+
+        // Once shutdown is requested, a new session serves nothing.
+        let mut after = CountingWriter::default();
+        svc.run_stdio(&b"{\"op\":\"ping\"}\n"[..], &mut after).unwrap();
+        assert_eq!(after.writes, 0);
     }
 
     #[test]

@@ -35,10 +35,10 @@ fn synthetic_profile(name: &str, tail: f64, api: f64, m: &MachineConfig) -> Proc
     }
 }
 
+/// Sends `req` and its newline in one write (the socket is `nodelay`, so
+/// the client adds no Nagle stall of its own) and parses the reply.
 fn roundtrip(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &str) -> Json {
-    stream.write_all(req.as_bytes()).unwrap();
-    stream.write_all(b"\n").unwrap();
-    stream.flush().unwrap();
+    stream.write_all(format!("{req}\n").as_bytes()).unwrap();
     let mut line = String::new();
     reader.read_line(&mut line).unwrap();
     json::parse(line.trim()).unwrap()
@@ -46,6 +46,7 @@ fn roundtrip(stream: &mut TcpStream, reader: &mut BufReader<TcpStream>, req: &st
 
 fn connect(addr: std::net::SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
     let stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
     let reader = BufReader::new(stream.try_clone().unwrap());
     (stream, reader)
 }
@@ -139,5 +140,43 @@ fn concurrent_tcp_clients_get_identical_answers_and_clean_shutdown() {
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)));
         server.join().unwrap();
         assert!(service.is_shutdown());
+    });
+}
+
+/// Sequential round trips on one connection must not each wait out a
+/// delayed ACK: a response written in two parts stalls ~44 ms per round
+/// trip behind Nagle (~8.8 s for 200), one write takes microseconds.
+#[test]
+fn sequential_round_trips_do_not_stall() {
+    let machine = MachineConfig::two_core_workstation();
+    let power = PowerModel::from_parts(10.0, vec![2e-7, 1e-6, 3e-6, 1e-7, 1e-7]).unwrap();
+    let service = PredictionService::new(machine.clone(), power, 1, 64);
+    for (name, tail) in [("a", 0.40), ("b", 0.10)] {
+        service.register_profile(name, synthetic_profile(name, tail, 0.02, &machine)).unwrap();
+    }
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::scope(|scope| {
+        let service = &service;
+        let server = scope.spawn(move || service.run_tcp(listener).unwrap());
+        let (mut s, mut r) = connect(addr);
+        let req = r#"{"id":1,"op":"estimate","assignment":[["a"],["b"]]}"#;
+        // Warm the cache so the timed loop measures the wire, not a solve.
+        let first = roundtrip(&mut s, &mut r, req);
+        assert_eq!(first.get("ok"), Some(&Json::Bool(true)), "{first:?}");
+        // Wall time is what this test measures; no model input reads it.
+        #[allow(clippy::disallowed_methods)]
+        let started = std::time::Instant::now();
+        for _ in 0..200 {
+            let resp = roundtrip(&mut s, &mut r, req);
+            assert_eq!(resp.get("power_w"), first.get("power_w"));
+        }
+        let elapsed = started.elapsed();
+        roundtrip(&mut s, &mut r, r#"{"id":2,"op":"shutdown"}"#);
+        server.join().unwrap();
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "200 round trips took {elapsed:?}: responses are stalling on the wire"
+        );
     });
 }
