@@ -219,11 +219,24 @@ enum SolveMode<'c> {
 /// it stays valid even if callers re-index, re-order, or rebuild their
 /// profile slices, and permuted co-runner sets share one entry.
 ///
-/// The cache is bounded (sharded LRU, default
+/// Die powers are memoized too. Dies share nothing, so a die's Eq. 10/11
+/// power depends only on the ordered queues of its cores: the key lists,
+/// per core in core order, the queue length and one word per queued
+/// process (its feature fingerprint folded with the bits of every other
+/// profile field the walk reads), stored as a 128-bit digest of that
+/// list. Keys are never sorted, because the combination order fixes the
+/// `f64` sum, and the dies are summed in die order, so a memoized
+/// estimate is bit-identical to a fresh one. A placement search
+/// scores thousands of placements over far fewer distinct dies; each
+/// distinct die is walked once. Only exact estimates use the die memo:
+/// degraded estimates and warm-started models (whose answers depend on
+/// history) bypass it, and errors are never stored.
+///
+/// Both memos are bounded (sharded LRU, default
 /// [`eqcache::DEFAULT_CAPACITY`](crate::eqcache::DEFAULT_CAPACITY)
-/// entries) so long-running services never grow without limit; an
-/// evicted co-runner set simply re-solves to a bit-identical
-/// [`Equilibrium`] on its next appearance.
+/// entries each) so long-running services never grow without limit; an
+/// evicted entry simply recomputes to the same bits on its next
+/// appearance.
 pub struct CombinedModel<'a, M: CorePowerModel> {
     machine: &'a MachineConfig,
     power: &'a M,
@@ -262,10 +275,11 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         self
     }
 
-    /// Replaces the equilibrium memo cache with one bounded at
-    /// `capacity` entries (rounded up to a multiple of the shard count;
-    /// 0 disables memoization). Estimates are bit-identical for any
-    /// capacity — the bound only affects time and memory.
+    /// Replaces the memo caches (equilibria and die powers) with ones
+    /// bounded at `capacity` entries each (rounded up to a multiple of
+    /// the shard count; 0 disables memoization). Estimates are
+    /// bit-identical for any capacity — the bound only affects time and
+    /// memory.
     #[must_use]
     pub fn with_equilibrium_cache_capacity(mut self, capacity: usize) -> Self {
         self.eq_cache = EquilibriumCache::new(capacity);
@@ -285,7 +299,8 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
     }
 
     /// A snapshot of the memo-cache counters (hits, misses, evictions,
-    /// occupancy, capacity).
+    /// occupancy, capacity, and the die memo's hits, misses and
+    /// occupancy).
     pub fn equilibrium_cache_stats(&self) -> EqCacheStats {
         self.eq_cache.stats()
     }
@@ -296,7 +311,7 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         self.eq_cache.fallback_solves()
     }
 
-    /// Drops all memoized equilibrium solves.
+    /// Drops all memoized equilibrium solves and die powers.
     pub fn clear_equilibrium_cache(&self) {
         self.eq_cache.clear();
     }
@@ -369,29 +384,122 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         mode: &SolveMode<'_>,
     ) -> Result<f64, ModelError> {
         self.validate(profiles, assignment)?;
-        if let SolveMode::Exact(cancel) = mode {
-            let sets = self.collect_contended_sets(profiles, assignment)?;
-            self.prestage_sets(profiles, sets, 0, cancel)?;
-        }
+        let dies = (0..self.machine.dies).map(|d| DieId(d as u32));
+        let SolveMode::Exact(cancel) = mode else {
+            let mut total = 0.0;
+            for die in dies {
+                total += self.die_power_mode(profiles, assignment, die, mode)?;
+            }
+            return Ok(total);
+        };
+        // Look every die up first, then prestage and walk only the misses.
+        let memo = self.die_memo_enabled();
+        let lookups: Vec<(DieId, Option<[u64; 2]>, Option<f64>)> = dies
+            .map(|die| {
+                let key = if memo { self.die_key(profiles, assignment, die) } else { None };
+                let hit = key.and_then(|k| self.eq_cache.get_die(&k));
+                (die, key, hit)
+            })
+            .collect();
+        let missed = lookups.iter().filter(|l| l.2.is_none()).map(|l| l.0);
+        let sets = self.collect_die_sets(profiles, assignment, missed)?;
+        self.prestage_sets(profiles, sets, 0, cancel)?;
         let mut total = 0.0;
-        for die in 0..self.machine.dies {
-            total += self.die_power_mode(profiles, assignment, DieId(die as u32), mode)?;
+        for (die, key, hit) in lookups {
+            total += match hit {
+                Some(watts) => {
+                    // The walk a hit stands for is a cancellation point.
+                    cancel.check()?;
+                    watts
+                }
+                None => {
+                    let watts = self.die_power_mode(profiles, assignment, die, mode)?;
+                    if let Some(key) = key {
+                        self.eq_cache.insert_die(key, watts);
+                    }
+                    watts
+                }
+            };
         }
         Ok(total)
     }
 
-    /// Enumerates the contended co-run sets (profile indices) an exact
-    /// estimate of `assignment` will need, in combination-enumeration
-    /// order, without solving anything.
-    fn collect_contended_sets(
+    /// Whether exact estimates read and fill the die memo: not with the
+    /// memo disabled, and not under warm start, whose answers depend on
+    /// which co-runs were solved before.
+    fn die_memo_enabled(&self) -> bool {
+        self.eq_cache.capacity() > 0 && !self.warm_start
+    }
+
+    /// The die memo's key for `die` under `assignment`. The list it
+    /// stands for is, per core in core order, the queue length and then
+    /// [`die_key_word`] per queued process in queue order; the key is two
+    /// independent 64-bit folds of that list (SplitMix64's and
+    /// MurmurHash3's finalizers), so a collision is far less likely than
+    /// one between the 64-bit feature fingerprints every memo already
+    /// trusts. `None` for an all-idle die, which costs nothing to
+    /// recompute.
+    fn die_key(
         &self,
         profiles: &[ProcessProfile],
         assignment: &Assignment,
+        die: DieId,
+    ) -> Option<[u64; 2]> {
+        let mut key = [0x243F_6A88_85A3_08D3u64, 0x1319_8A2E_0370_7344];
+        let mut fold = |word: u64| {
+            key = [splitmix_finalize(key[0] ^ word), murmur_finalize(key[1] ^ word)];
+        };
+        let mut busy = false;
+        for core in self.machine.cores_of(die) {
+            let queue = assignment.processes_on(core.0 as usize);
+            busy |= !queue.is_empty();
+            fold(queue.len() as u64);
+            queue.iter().for_each(|&p| fold(die_key_word(&profiles[p])));
+        }
+        busy.then_some(key)
+    }
+
+    /// The contended co-run sets (profile indices) exact estimates of
+    /// `assignments` will need, in combination-enumeration order, without
+    /// solving anything. Invalid assignments are skipped: they report
+    /// their own error when estimated. With the die memo on, a die that
+    /// is already memoized, or that an earlier assignment in the batch
+    /// repeats, is not walked at all.
+    fn collect_contended_sets<'x>(
+        &self,
+        profiles: &[ProcessProfile],
+        assignments: impl IntoIterator<Item = &'x Assignment>,
+    ) -> Result<Vec<Vec<usize>>, ModelError> {
+        let memo = self.die_memo_enabled();
+        let mut seen: BTreeSet<[u64; 2]> = BTreeSet::new();
+        let mut sets = Vec::new();
+        for asg in assignments {
+            if self.validate(profiles, asg).is_err() {
+                continue;
+            }
+            let dies = (0..self.machine.dies).map(|d| DieId(d as u32)).filter(|&die| {
+                match memo.then(|| self.die_key(profiles, asg, die)).flatten() {
+                    Some(key) => self.eq_cache.peek_die(&key).is_none() && seen.insert(key),
+                    None => true,
+                }
+            });
+            sets.extend(self.collect_die_sets(profiles, asg, dies)?);
+        }
+        Ok(sets)
+    }
+
+    /// The contended co-run sets (profile indices) that exact walks of
+    /// `dies` under `assignment` will solve, in combination-enumeration
+    /// order, without solving anything.
+    fn collect_die_sets(
+        &self,
+        profiles: &[ProcessProfile],
+        assignment: &Assignment,
+        dies: impl Iterator<Item = DieId>,
     ) -> Result<Vec<Vec<usize>>, ModelError> {
         let sink = RefCell::new(Vec::new());
-        let mode = SolveMode::Collect(&sink);
-        for die in 0..self.machine.dies {
-            self.die_power_mode(profiles, assignment, DieId(die as u32), &mode)?;
+        for die in dies {
+            self.die_power_mode(profiles, assignment, die, &SolveMode::Collect(&sink))?;
         }
         Ok(sink.into_inner())
     }
@@ -530,7 +638,8 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         cancel: &CancelToken,
     ) -> Result<f64, ModelError> {
         self.validate(profiles, assignment)?;
-        let sets = self.collect_contended_sets(profiles, assignment)?;
+        let dies = (0..self.machine.dies).map(|d| DieId(d as u32));
+        let sets = self.collect_die_sets(profiles, assignment, dies)?;
         self.prestage_sets(profiles, sets, 0, cancel)?;
         let mut makespan: f64 = 0.0;
         for die in 0..self.machine.dies {
@@ -615,13 +724,7 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         workers: usize,
         cancel: &CancelToken,
     ) -> Result<(), ModelError> {
-        let mut sets: Vec<Vec<usize>> = Vec::new();
-        for asg in assignments {
-            if self.validate(profiles, asg).is_err() {
-                continue;
-            }
-            sets.extend(self.collect_contended_sets(profiles, asg)?);
-        }
+        let sets = self.collect_contended_sets(profiles, assignments)?;
         self.prestage_sets(profiles, sets, workers, cancel)
     }
 
@@ -767,18 +870,12 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         // the per-candidate estimates below mostly hit the shared memo
         // cache. Invalid candidates are skipped here — they report their
         // own error at the proper position in the sweep.
-        let mut sets: Vec<Vec<usize>> = Vec::new();
-        for &core in cores {
-            if core >= current.num_cores() {
-                continue;
-            }
-            let tentative = current.with_assigned(core, profile_idx);
-            if self.validate(profiles, &tentative).is_err() {
-                continue;
-            }
-            sets.extend(self.collect_contended_sets(profiles, &tentative)?);
-        }
-        self.prestage_sets(profiles, sets, workers, cancel)?;
+        let tentatives: Vec<Assignment> = cores
+            .iter()
+            .filter(|&&core| core < current.num_cores())
+            .map(|&core| current.with_assigned(core, profile_idx))
+            .collect();
+        self.prestage_assignments(profiles, &tentatives, workers, cancel)?;
 
         // After the prestage each candidate is cache hits plus the Eq. 10/11
         // walk, a few microseconds: less than a thread spawn, so in order.
@@ -1074,6 +1171,30 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         let _ = CoreId(0);
         Ok(())
     }
+}
+
+/// One die-key word per queued process: its feature fingerprint folded
+/// with the bits of every other [`ProcessProfile`] field the die walk
+/// reads (the event rates per instruction and the two measured powers),
+/// so two profiles that share a feature vector but differ elsewhere get
+/// distinct keys.
+fn die_key_word(p: &ProcessProfile) -> u64 {
+    let fields = [p.l1rpi, p.l2rpi, p.brpi, p.fppi, p.processor_alone_w, p.idle_processor_w];
+    fields.iter().fold(p.feature.content_fingerprint(), |h, f| splitmix_finalize(h ^ f.to_bits()))
+}
+
+/// SplitMix64's output finalizer.
+fn splitmix_finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// MurmurHash3's 64-bit finalizer (`fmix64`).
+fn murmur_finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    z = (z ^ (z >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    z ^ (z >> 33)
 }
 
 #[cfg(test)]
@@ -1409,14 +1530,94 @@ mod tests {
         assert!(st.evictions > 0, "sweep must overflow the bound: {st:?}");
         assert_eq!(st.misses as usize, 3 * cap, "each distinct pair solves once");
 
-        // Replaying the sweep forces re-solves of evicted pairs; every
-        // estimate must be bit-identical to its cold pass.
+        // Replaying the sweep forces re-solves of evicted pairs (the die
+        // memo is just as overflowed, so it cannot answer the pass on its
+        // own); every estimate must be bit-identical to its cold pass.
         for (i, &cold_est) in cold.iter().enumerate() {
             let p = synthetic_profile("p", 0.1 + 0.7 * (i as f64) / (3 * cap) as f64, 0.02, &m);
             let ps = vec![p, partner.clone()];
             let warm = cm.estimate_processor_power(&ps, &asg).unwrap();
             assert_eq!(cold_est.to_bits(), warm.to_bits(), "iteration {i}");
         }
+        let replayed = cm.equilibrium_cache_stats();
+        assert!(replayed.misses > st.misses, "the replay must re-solve: {st:?} -> {replayed:?}");
+    }
+
+    #[test]
+    fn die_memo_stays_within_the_capacity() {
+        let m = server();
+        let pm = synthetic_power_model(&m);
+        let cm = CombinedModel::new(&m, &pm).with_equilibrium_cache_capacity(8);
+        let cap = cm.equilibrium_cache_stats().capacity;
+        let partner = synthetic_profile("partner", 0.2, 0.015, &m);
+        let mut asg = Assignment::new(4);
+        asg.assign(0, 0).assign(1, 1).assign(2, 0).assign(3, 1);
+        for i in 0..4 * cap {
+            let p = synthetic_profile("p", 0.1 + 0.7 * (i as f64) / (4 * cap) as f64, 0.02, &m);
+            let ps = [p, partner.clone()];
+            let cold = cm.estimate_processor_power(&ps, &asg).unwrap();
+            let warm = cm.estimate_processor_power(&ps, &asg).unwrap();
+            assert_eq!(cold.to_bits(), warm.to_bits());
+            let st = cm.equilibrium_cache_stats();
+            assert!(st.die_entries <= st.capacity, "iteration {i}: {st:?}");
+        }
+        // Both dies hold the same queues, so they share one entry; every
+        // die is looked up before any is walked, so the first estimate of
+        // each pair misses twice and the second hits twice.
+        let st = cm.equilibrium_cache_stats();
+        let n = 8 * cap as u64;
+        assert_eq!((st.die_hits, st.die_misses), (n, n), "{st:?}");
+        cm.clear_equilibrium_cache();
+        let st = cm.equilibrium_cache_stats();
+        assert_eq!((st.entries, st.die_entries), (0, 0), "clear drops both memos");
+    }
+
+    #[test]
+    fn die_memo_key_covers_every_profile_field_it_reads() {
+        let m = server();
+        let pm = synthetic_power_model(&m);
+        let a = synthetic_profile("a", 0.4, 0.03, &m);
+        let b = synthetic_profile("b", 0.1, 0.01, &m);
+        // Same feature vector (so the same fingerprint), different
+        // event rate; then the same again with a different alone power.
+        let hotter = ProcessProfile { l1rpi: a.l1rpi * 1.5, ..a.clone() };
+        let louder = ProcessProfile { processor_alone_w: a.processor_alone_w + 7.0, ..a.clone() };
+        assert_eq!(hotter.feature.content_fingerprint(), a.feature.content_fingerprint());
+        let mut pair = Assignment::new(4);
+        pair.assign(0, 0).assign(1, 1);
+        let mut solo = Assignment::new(4);
+        solo.assign(0, 0);
+        let cm = CombinedModel::new(&m, &pm);
+        let uncached = CombinedModel::new(&m, &pm).with_equilibrium_cache_capacity(0);
+        for asg in [&pair, &solo] {
+            for variant in [&a, &hotter, &louder] {
+                let ps = [variant.clone(), b.clone()];
+                let got = cm.estimate_processor_power(&ps, asg).unwrap();
+                let want = uncached.estimate_processor_power(&ps, asg).unwrap();
+                assert_eq!(got.to_bits(), want.to_bits(), "{asg:?}");
+            }
+        }
+        let st = cm.equilibrium_cache_stats();
+        assert_eq!(st.die_hits, 0, "every variant is a distinct die: {st:?}");
+        assert_eq!(uncached.equilibrium_cache_stats().die_entries, 0);
+    }
+
+    #[test]
+    fn degraded_and_warm_start_estimates_bypass_the_die_memo() {
+        let m = server();
+        let pm = synthetic_power_model(&m);
+        let ps = vec![synthetic_profile("a", 0.4, 0.03, &m), synthetic_profile("b", 0.1, 0.01, &m)];
+        let mut asg = Assignment::new(4);
+        asg.assign(0, 0).assign(1, 1);
+        let warm = CombinedModel::new(&m, &pm).with_warm_start(true);
+        warm.estimate_processor_power(&ps, &asg).unwrap();
+        warm.estimate_processor_power(&ps, &asg).unwrap();
+        let st = warm.equilibrium_cache_stats();
+        assert_eq!((st.die_hits, st.die_misses, st.die_entries), (0, 0, 0), "{st:?}");
+        let cm = CombinedModel::new(&m, &pm);
+        cm.estimate_processor_power_degraded(&ps, &asg).unwrap();
+        let st = cm.equilibrium_cache_stats();
+        assert_eq!((st.die_hits, st.die_misses, st.die_entries), (0, 0, 0), "{st:?}");
     }
 
     #[test]

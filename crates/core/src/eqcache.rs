@@ -1,33 +1,39 @@
-//! The bounded, sharded equilibrium memo cache behind
-//! [`CombinedModel`](crate::assignment::CombinedModel).
+//! The bounded, sharded memo caches behind
+//! [`CombinedModel`](crate::assignment::CombinedModel): co-run
+//! equilibria, and the die powers computed from them.
 //!
 //! The original memo cache was a single `Mutex<HashMap<..>>`: correct,
 //! but it grew without bound over a long candidate sweep and serialized
 //! every reader behind one lock. This replacement bounds memory with a
 //! per-shard LRU ([`mathkit::lru`]) and spreads contention over several
-//! independently locked shards.
+//! independently locked shards. Both memos use that one layout.
 //!
 //! Two properties the rest of the model relies on:
 //!
-//! - **Determinism.** The cache key is the *canonically ordered* list of
-//!   co-runner content fingerprints, and the shard is a pure function of
-//!   that key, so permuted co-runner sets always land on the same entry.
-//!   Eviction only ever forces a re-solve, and the solvers work in the
-//!   same canonical order whether or not the cache is present — so a
-//!   hit, a miss, and a post-eviction re-solve are all bit-identical.
-//! - **Bounded memory.** `entries() <= capacity()` at every instant; the
-//!   total capacity is split evenly across shards and each shard evicts
-//!   independently.
+//! - **Determinism.** The equilibrium key is the *canonically ordered*
+//!   list of co-runner content fingerprints, and the shard is a pure
+//!   function of the key, so permuted co-runner sets always land on the
+//!   same entry. Eviction only ever forces a re-solve, and the solvers
+//!   work in the same canonical order whether or not the cache is
+//!   present — so a hit, a miss, and a post-eviction re-solve are all
+//!   bit-identical. A die entry holds the exact `f64` a fresh Eq. 10/11
+//!   walk returns for the die's ordered queues, so it is bit-identical
+//!   too.
+//! - **Bounded memory.** `entries() <= capacity()` at every instant, for
+//!   each memo; the total capacity is split evenly across shards and
+//!   each shard evicts independently.
 
 use crate::equilibrium::Equilibrium;
 use mathkit::lru::LruCache;
+use std::borrow::Borrow;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Number of independently locked shards (a power of two).
 const SHARDS: usize = 8;
 
-/// Default total capacity (entries) of the equilibrium memo cache.
+/// Default total capacity (entries) of each memo: equilibria and dies.
 pub const DEFAULT_CAPACITY: usize = 4096;
 
 /// A point-in-time snapshot of the cache counters.
@@ -52,13 +58,58 @@ pub struct EqCacheStats {
     /// cold solver. Tracked separately from `fallback_solves`: a warm
     /// fallback is an optimization miss, not a solver-health event.
     pub warm_fallbacks: u64,
+    /// Die-power lookups answered from the die memo (no Eq. 10 walk).
+    /// Counted apart from `hits`: a die hit makes no equilibrium lookup.
+    pub die_hits: u64,
+    /// Die-power lookups that walked the die's combinations.
+    pub die_misses: u64,
+    /// Die powers currently memoized (bounded by `capacity` as well).
+    pub die_entries: usize,
+}
+
+/// `SHARDS` independently locked LRU maps over word-list keys, the shard
+/// picked by [`shard_of`]: the one layout both memos share.
+#[derive(Debug)]
+struct Shards<K, V> {
+    shards: Vec<Mutex<LruCache<K, V>>>,
+}
+
+impl<K: Borrow<[u64]> + Hash + Eq + Clone, V> Shards<K, V> {
+    fn new(per_shard: usize) -> Self {
+        Shards { shards: (0..SHARDS).map(|_| Mutex::new(LruCache::new(per_shard))).collect() }
+    }
+
+    fn lock(&self, key: &[u64]) -> MutexGuard<'_, LruCache<K, V>> {
+        lock(&self.shards[shard_of(key)])
+    }
+
+    fn all(&self) -> impl Iterator<Item = MutexGuard<'_, LruCache<K, V>>> {
+        self.shards.iter().map(lock)
+    }
+
+    /// `(hits, misses, evictions, entries)` summed over the shards.
+    fn counters(&self) -> (u64, u64, u64, usize) {
+        self.all().fold((0, 0, 0, 0), |(h, m, e, n), s| {
+            (h + s.hits(), m + s.misses(), e + s.evictions(), n + s.len())
+        })
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A sharded, capacity-bounded LRU from canonical fingerprint keys to
-/// canonical-order [`Equilibrium`] solutions.
+/// canonical-order [`Equilibrium`] solutions, plus the die-power memo
+/// under the same bound.
+///
+/// A die key is a 128-bit digest of the die's word list (see
+/// `CombinedModel`), so a die entry is a few dozen bytes with no heap
+/// allocation of its own.
 #[derive(Debug)]
 pub struct EquilibriumCache {
-    shards: Vec<Mutex<LruCache<Vec<u64>, Equilibrium>>>,
+    eqs: Shards<Vec<u64>, Equilibrium>,
+    dies: Shards<[u64; 2], f64>,
     capacity: usize,
     /// Fresh solves whose diagnostics recorded a fallback or degraded
     /// result (tracked here because the cache sees every solve).
@@ -102,15 +153,16 @@ fn shared_fingerprints(a: &[u64], b: &[u64]) -> usize {
 }
 
 impl EquilibriumCache {
-    /// A cache bounded at `capacity` total entries, rounded up to a
-    /// multiple of the shard count so every shard gets the same bound
-    /// (the effective bound is [`EquilibriumCache::capacity`]). Capacity
-    /// 0 disables memoization entirely (every lookup misses, nothing is
-    /// stored).
+    /// A cache bounded at `capacity` total entries per memo, rounded up
+    /// to a multiple of the shard count so every shard gets the same
+    /// bound (the effective bound is [`EquilibriumCache::capacity`]).
+    /// Capacity 0 disables memoization entirely (every lookup misses,
+    /// nothing is stored).
     pub fn new(capacity: usize) -> Self {
         let per_shard = capacity.div_ceil(SHARDS);
         EquilibriumCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(LruCache::new(per_shard))).collect(),
+            eqs: Shards::new(per_shard),
+            dies: Shards::new(per_shard),
             capacity: per_shard * SHARDS,
             fallback_solves: AtomicU64::new(0),
             warm_attempts: AtomicU64::new(0),
@@ -126,15 +178,14 @@ impl EquilibriumCache {
 
     /// Looks up the canonical key, promoting the entry on a hit.
     pub fn get(&self, key: &[u64]) -> Option<Equilibrium> {
-        let mut shard = self.lock(key);
-        shard.get(key).cloned()
+        self.eqs.lock(key).get(key).cloned()
     }
 
     /// Looks up the canonical key *without* promoting it — a stale read
     /// for the degraded path, which must not distort the recency order
     /// the healthy path's eviction decisions rely on.
     pub fn peek(&self, key: &[u64]) -> Option<Equilibrium> {
-        self.lock(key).peek(key).cloned()
+        self.eqs.lock(key).peek(key).cloned()
     }
 
     /// Finds the nearest same-cardinality neighbor of `key`: a cached
@@ -150,8 +201,7 @@ impl EquilibriumCache {
     /// together with its equilibrium; no promotion happens.
     pub fn neighbor(&self, key: &[u64]) -> Option<(Vec<u64>, Equilibrium)> {
         let mut best: Option<(usize, Vec<u64>, Equilibrium)> = None;
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
+        for shard in self.eqs.all() {
             for (k, v) in shard.iter() {
                 if k.len() != key.len() || k.as_slice() == key {
                     continue;
@@ -174,8 +224,23 @@ impl EquilibriumCache {
 
     /// Memoizes a canonical-order solve under its canonical key.
     pub fn insert(&self, key: Vec<u64>, eq: Equilibrium) {
-        let mut shard = self.lock(&key);
-        shard.insert(key, eq);
+        self.eqs.lock(&key).insert(key, eq);
+    }
+
+    /// Looks up a die key, promoting the entry on a hit.
+    pub(crate) fn get_die(&self, key: &[u64; 2]) -> Option<f64> {
+        self.dies.lock(key).get(key).copied()
+    }
+
+    /// Looks up a die key without promoting it or moving a counter (the
+    /// batch prestage's "already known?" test).
+    pub(crate) fn peek_die(&self, key: &[u64; 2]) -> Option<f64> {
+        self.dies.lock(key).peek(key).copied()
+    }
+
+    /// Memoizes one die's power under its key.
+    pub(crate) fn insert_die(&self, key: [u64; 2], watts: f64) {
+        self.dies.lock(&key).insert(key, watts);
     }
 
     /// Records that a fresh solve needed the fallback chain (or came
@@ -205,39 +270,35 @@ impl EquilibriumCache {
         self.warm_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Entries currently memoized.
+    /// Equilibria currently memoized.
     pub fn entries(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len()).sum()
+        self.eqs.all().map(|s| s.len()).sum()
     }
 
-    /// Drops every memoized entry (counters are kept).
+    /// Drops every memoized equilibrium and die power (counters are
+    /// kept).
     pub fn clear(&self) {
-        for s in &self.shards {
-            s.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        }
+        self.eqs.all().for_each(|mut s| s.clear());
+        self.dies.all().for_each(|mut s| s.clear());
     }
 
     /// A snapshot of the aggregated counters.
     pub fn stats(&self) -> EqCacheStats {
-        let mut st = EqCacheStats {
+        let (hits, misses, evictions, entries) = self.eqs.counters();
+        let (die_hits, die_misses, _, die_entries) = self.dies.counters();
+        EqCacheStats {
+            hits,
+            misses,
+            evictions,
+            entries,
             capacity: self.capacity,
             warm_attempts: self.warm_attempts.load(Ordering::Relaxed),
             warm_hits: self.warm_hits.load(Ordering::Relaxed),
             warm_fallbacks: self.warm_fallbacks.load(Ordering::Relaxed),
-            ..Default::default()
-        };
-        for s in &self.shards {
-            let s = s.lock().unwrap_or_else(|e| e.into_inner());
-            st.hits += s.hits();
-            st.misses += s.misses();
-            st.evictions += s.evictions();
-            st.entries += s.len();
+            die_hits,
+            die_misses,
+            die_entries,
         }
-        st
-    }
-
-    fn lock(&self, key: &[u64]) -> std::sync::MutexGuard<'_, LruCache<Vec<u64>, Equilibrium>> {
-        self.shards[shard_of(key)].lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -349,6 +410,27 @@ mod tests {
         cache.clear();
         assert_eq!(cache.entries(), 0);
         assert_eq!(cache.fallback_solves(), 1);
+    }
+
+    #[test]
+    fn die_memo_is_bounded_counted_apart_and_cleared_with_the_equilibria() {
+        let cache = EquilibriumCache::new(16);
+        for i in 0..500u64 {
+            cache.insert_die([i, i + 1], i as f64);
+            assert!(cache.stats().die_entries <= cache.capacity(), "at i = {i}");
+        }
+        assert_eq!(cache.get_die(&[499, 500]), Some(499.0));
+        assert_eq!(cache.get_die(&[500, 499]), None);
+        assert_eq!(cache.peek_die(&[499, 500]), Some(499.0));
+        let st = cache.stats();
+        assert_eq!((st.die_hits, st.die_misses), (1, 1), "peek moves no counter");
+        assert_eq!((st.hits, st.misses, st.evictions), (0, 0, 0), "{st:?}");
+        cache.insert(vec![7], dummy_eq(1.0));
+        cache.clear();
+        assert_eq!((cache.entries(), cache.stats().die_entries), (0, 0));
+        let off = EquilibriumCache::new(0);
+        off.insert_die([1, 2], 3.0);
+        assert_eq!(off.peek_die(&[1, 2]), None);
     }
 
     #[test]

@@ -39,6 +39,9 @@ pub struct FeatureVector {
     api: f64,
     spi: SpiModel,
     occupancy: OccupancyCurve,
+    /// [`FeatureVector::content_fingerprint`], computed once in
+    /// [`FeatureVector::new`]: every field it covers is immutable.
+    fingerprint: u64,
 }
 
 impl FeatureVector {
@@ -63,7 +66,8 @@ impl FeatureVector {
             return Err(ModelError::UnusableProfile(format!("API must be in [0, 1], got {api}")));
         }
         let occupancy = OccupancyCurve::from_histogram(&hist, assoc, OccupancyOptions::default())?;
-        Ok(FeatureVector { name: name.into(), hist, api, spi, occupancy })
+        let fingerprint = fnv_fingerprint(&hist, api, &spi, occupancy.max_ways());
+        Ok(FeatureVector { name: name.into(), hist, api, spi, occupancy, fingerprint })
     }
 
     /// Builds the *ground-truth* feature vector of a synthetic workload
@@ -173,26 +177,33 @@ impl FeatureVector {
     /// equal fingerprints produce bit-identical solver behaviour, which is
     /// what the equilibrium memo cache and the solvers' canonical process
     /// ordering key on. The display name is deliberately excluded.
+    ///
+    /// Computed once at construction, so a lookup costs no histogram walk.
     pub fn content_fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01B3;
-        let mut h = OFFSET;
-        let mut fold = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
-            }
-        };
-        fold(self.api.to_bits());
-        fold(self.spi.alpha().to_bits());
-        fold(self.spi.beta().to_bits());
-        fold(self.assoc() as u64);
-        fold(self.hist.p_inf().to_bits());
-        fold(self.hist.probs().len() as u64);
-        for &p in self.hist.probs() {
-            fold(p.to_bits());
-        }
-        h
+        self.fingerprint
     }
+}
+
+/// The FNV-1a fold behind [`FeatureVector::content_fingerprint`].
+fn fnv_fingerprint(hist: &ReuseHistogram, api: f64, spi: &SpiModel, assoc: usize) -> u64 {
+    const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
+    let mut h = OFFSET;
+    let mut fold = |v: u64| {
+        for byte in v.to_le_bytes() {
+            h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
+        }
+    };
+    fold(api.to_bits());
+    fold(spi.alpha().to_bits());
+    fold(spi.beta().to_bits());
+    fold(assoc as u64);
+    fold(hist.p_inf().to_bits());
+    fold(hist.probs().len() as u64);
+    for &p in hist.probs() {
+        fold(p.to_bits());
+    }
+    h
 }
 
 #[cfg(test)]
@@ -288,6 +299,36 @@ mod tests {
         // Same content, different associativity: distinct.
         let narrower = a.with_assoc(12).unwrap();
         assert_ne!(a.content_fingerprint(), narrower.content_fingerprint());
+    }
+
+    /// Byte-wise FNV-1a over the fingerprinted fields, written out
+    /// independently of the constructor's fold.
+    fn fnv_from_scratch(fv: &FeatureVector) -> u64 {
+        let mut words = vec![
+            fv.api().to_bits(),
+            fv.spi_model().alpha().to_bits(),
+            fv.spi_model().beta().to_bits(),
+            fv.assoc() as u64,
+            fv.histogram().p_inf().to_bits(),
+            fv.histogram().probs().len() as u64,
+        ];
+        words.extend(fv.histogram().probs().iter().map(|p| p.to_bits()));
+        words.iter().flat_map(|w| w.to_le_bytes()).fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    #[test]
+    fn stored_fingerprint_equals_a_from_scratch_recompute() {
+        let fresh = FeatureVector::from_workload(&SpecWorkload::Mcf.params(), &server()).unwrap();
+        let clone = fresh.clone();
+        let narrower = fresh.with_assoc(12).unwrap();
+        let mut text = Vec::new();
+        crate::persist::write_feature(&fresh, &mut text).unwrap();
+        let reloaded = crate::persist::read_feature(text.as_slice()).unwrap();
+        for fv in [&fresh, &clone, &narrower, &reloaded] {
+            assert_eq!(fv.content_fingerprint(), fnv_from_scratch(fv), "{}", fv.assoc());
+        }
     }
 
     #[test]

@@ -957,6 +957,38 @@ mod tests {
     }
 
     #[test]
+    fn die_memo_leaves_every_objective_bit_identical() {
+        let m = tiny_server();
+        let pm = synthetic_power_model(&m);
+        let profiles = profile_set(&m, 5);
+        let processes: Vec<usize> = (0..5).collect();
+        let cancel = CancelToken::never();
+        let opts = OptimizeOptions::default();
+        let plain = || CombinedModel::new(&m, &pm).with_equilibrium_cache_capacity(0);
+        let min_p =
+            optimize(&plain(), &profiles, &processes, Objective::MinPower, &opts, &cancel).unwrap();
+        for objective in [
+            Objective::MinPower,
+            Objective::PowerCapped { cap_w: min_p.power_w + 1.0 },
+            Objective::MinMakespan,
+        ] {
+            let memo = CombinedModel::new(&m, &pm);
+            let a = optimize(&memo, &profiles, &processes, objective, &opts, &cancel).unwrap();
+            let b = optimize(&plain(), &profiles, &processes, objective, &opts, &cancel).unwrap();
+            assert_eq!(a.assignment, b.assignment, "{objective:?}");
+            assert_eq!(a.power_w.to_bits(), b.power_w.to_bits(), "{objective:?}");
+            assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "{objective:?}");
+            assert_eq!((a.evaluated, a.pruned), (b.evaluated, b.pruned), "{objective:?}");
+            // Makespan scoring reads no die power; the other two mostly
+            // answer from the die memo.
+            let st = memo.equilibrium_cache_stats();
+            if objective != Objective::MinMakespan {
+                assert!(st.die_hits > st.die_misses, "{objective:?}: {st:?}");
+            }
+        }
+    }
+
+    #[test]
     fn exact_matches_brute_force_on_all_objectives() {
         let m = tiny_server();
         let pm = synthetic_power_model(&m);

@@ -452,7 +452,8 @@ impl PredictionService {
     /// Each connection gets its own thread; all of them share one
     /// combined model, so the equilibrium cache is warmed globally.
     /// Connections beyond [`ServeOptions::max_connections`] receive a
-    /// typed `too_many_connections` error as a greeting and are closed.
+    /// typed `too_many_connections` error as a greeting and are closed,
+    /// once a slot has stayed taken for one poll interval.
     ///
     /// # Errors
     ///
@@ -469,7 +470,7 @@ impl PredictionService {
             }
             match listener.accept() {
                 Ok((stream, _addr)) => {
-                    if self.conn_active.load(Ordering::Relaxed) >= self.opts.max_connections {
+                    if !self.wait_for_connection_slot() {
                         Counters::bump(&self.counters.too_many_connections);
                         Counters::bump(&self.counters.errors);
                         let greeting = format!(
@@ -499,6 +500,23 @@ impl PredictionService {
                 Err(e) => return Err(e),
             }
         })
+    }
+
+    /// Whether a session slot is free, re-checking for up to one
+    /// [`POLL_INTERVAL`] before giving up at the cap. A client that hangs
+    /// up and redials at once races its old session, which counts until
+    /// its thread has finished any abandoned request and seen the hangup.
+    fn wait_for_connection_slot(&self) -> bool {
+        #[allow(clippy::disallowed_methods)]
+        // lint:allow(determinism) -- accept-loop back-off: wall time bounds the wait, never an answer
+        let started = Instant::now();
+        while self.conn_active.load(Ordering::Relaxed) >= self.opts.max_connections {
+            if self.is_shutdown() || started.elapsed() >= POLL_INTERVAL {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
     }
 
     /// One TCP connection: short read timeouts let the session loop poll
@@ -1139,6 +1157,9 @@ impl PredictionService {
             ("warm_attempts".into(), Json::Num(eq.warm_attempts as f64)),
             ("warm_hits".into(), Json::Num(eq.warm_hits as f64)),
             ("warm_fallbacks".into(), Json::Num(eq.warm_fallbacks as f64)),
+            ("die_hits".into(), Json::Num(eq.die_hits as f64)),
+            ("die_misses".into(), Json::Num(eq.die_misses as f64)),
+            ("die_entries".into(), Json::Num(eq.die_entries as f64)),
         ]);
         let latency = Json::Obj(vec![
             ("count".into(), Json::Num(self.latency.count() as f64)),
@@ -1409,6 +1430,11 @@ mod tests {
         assert_eq!(eq.get("warm_attempts").and_then(Json::as_f64), Some(0.0));
         assert_eq!(eq.get("warm_hits").and_then(Json::as_f64), Some(0.0));
         assert_eq!(eq.get("warm_fallbacks").and_then(Json::as_f64), Some(0.0));
+        // The die memo has its own counters: the assign walked each die once.
+        let die_misses = eq.get("die_misses").and_then(Json::as_f64).unwrap();
+        let die_entries = eq.get("die_entries").and_then(Json::as_f64).unwrap();
+        assert!(die_misses >= 1.0 && die_entries >= 1.0, "{eq:?}");
+        assert!(eq.get("die_hits").and_then(Json::as_f64).is_some(), "{eq:?}");
         // The stats request itself is timed after its snapshot is built,
         // so the count covers the four preceding requests.
         let latency = resp.get("latency").unwrap();

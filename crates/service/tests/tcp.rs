@@ -3,8 +3,9 @@
 //! answers for identical queries (the shared bounded cache must not leak
 //! into results), and a `shutdown` request must stop the daemon.
 
+use mpmc_service::chaos::FaultPlan;
 use mpmc_service::json::{self, Json};
-use mpmc_service::PredictionService;
+use mpmc_service::{PredictionService, ServeOptions};
 
 use cmpsim::machine::MachineConfig;
 use mpmc_model::feature::FeatureVector;
@@ -178,5 +179,47 @@ fn sequential_round_trips_do_not_stall() {
             elapsed < std::time::Duration::from_secs(2),
             "200 round trips took {elapsed:?}: responses are stalling on the wire"
         );
+    });
+}
+
+/// A client that hangs up mid-request and redials at once must be served,
+/// not refused at the connection cap, although its old session still
+/// counts until that thread has finished the abandoned request.
+#[test]
+fn immediate_redial_at_the_connection_cap_is_served() {
+    let machine = MachineConfig::two_core_workstation();
+    let power = PowerModel::from_parts(10.0, vec![2e-7, 1e-6, 3e-6, 1e-7, 1e-7]).unwrap();
+    let opts = ServeOptions { workers: 1, max_connections: 1, ..ServeOptions::default() };
+    // Every exact solve sleeps 30 ms, so the abandoned request keeps the
+    // old session busy well past the accept loop's next poll.
+    let mut plan = FaultPlan::quiet(1);
+    plan.spike_one_in = 1;
+    plan.spike_ms = 30;
+    let service = PredictionService::with_options(machine.clone(), power, opts).with_chaos(plan);
+    for (name, tail) in [("a", 0.40), ("b", 0.10)] {
+        service.register_profile(name, synthetic_profile(name, tail, 0.02, &machine)).unwrap();
+    }
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    /// Stops the daemon however the test ends, so a failed assertion
+    /// cannot leave the scope waiting on the accept loop forever.
+    struct StopOnDrop<'a>(&'a PredictionService);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.request_shutdown();
+        }
+    }
+    std::thread::scope(|scope| {
+        let service = &service;
+        let server = scope.spawn(move || service.run_tcp(listener).unwrap());
+        let _stop = StopOnDrop(service);
+        let (mut old, _) = connect(addr);
+        old.write_all(b"{\"id\":1,\"op\":\"estimate\",\"assignment\":[[\"a\",\"b\"]]}\n").unwrap();
+        old.shutdown(std::net::Shutdown::Both).unwrap();
+        let (mut s, mut r) = connect(addr);
+        let resp = roundtrip(&mut s, &mut r, r#"{"id":2,"op":"ping"}"#);
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "redial refused: {resp:?}");
+        roundtrip(&mut s, &mut r, r#"{"id":3,"op":"shutdown"}"#);
+        server.join().unwrap();
     });
 }

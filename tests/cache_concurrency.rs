@@ -119,6 +119,7 @@ fn threaded_estimate_candidates_is_bit_identical_to_sequential() {
             stats.entries <= stats.capacity,
             "capacity {capacity}: cache exceeded its bound: {stats:?}"
         );
+        assert!(stats.die_entries <= stats.capacity, "die memo exceeded its bound: {stats:?}");
         assert!(stats.misses > 0);
         if capacity == 8 {
             assert!(stats.evictions > 0, "tiny bound must churn: {stats:?}");
