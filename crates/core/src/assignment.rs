@@ -319,6 +319,14 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
     /// Estimated average processor power of `assignment`, from profiling
     /// data only (Eq. 11 summed over dies).
     ///
+    /// Runs on the calling thread: a die the die memo does not know is
+    /// walked over its Eq. 10 combinations, and each contended co-run the
+    /// equilibrium memo misses is solved in walk order. One estimate
+    /// misses too few sets to pay for a thread scope; sweeps over many
+    /// candidates batch their solves through
+    /// [`CombinedModel::estimate_candidates`] or
+    /// [`CombinedModel::prestage_assignments`].
+    ///
     /// # Errors
     ///
     /// - [`ModelError::InvalidAssignment`] if the assignment shape or any
@@ -392,7 +400,8 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
             }
             return Ok(total);
         };
-        // Look every die up first, then prestage and walk only the misses.
+        // Look every die up first, then walk only the misses, each
+        // contended co-run solved in order through the equilibrium memo.
         let memo = self.die_memo_enabled();
         let lookups: Vec<(DieId, Option<[u64; 2]>, Option<f64>)> = dies
             .map(|die| {
@@ -401,9 +410,6 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
                 (die, key, hit)
             })
             .collect();
-        let missed = lookups.iter().filter(|l| l.2.is_none()).map(|l| l.0);
-        let sets = self.collect_die_sets(profiles, assignment, missed)?;
-        self.prestage_sets(profiles, sets, 0, cancel)?;
         let mut total = 0.0;
         for (die, key, hit) in lookups {
             total += match hit {
@@ -504,19 +510,26 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         Ok(sink.into_inner())
     }
 
-    /// Batch-prestages the equilibrium cache: deduplicates `sets` on the
-    /// canonical fingerprint key, drops the ones already cached (peeked,
-    /// so no counters move), and solves the rest into the cache so the
-    /// per-combination walk afterwards runs on cache hits.
+    /// Batch-prestages the equilibrium cache for a multi-candidate sweep
+    /// ([`CombinedModel::prestage_assignments`]): deduplicates `sets` on
+    /// the canonical fingerprint key, drops the ones already cached
+    /// (peeked, so no lookup counter moves), and solves the rest into the
+    /// cache in one `solve_batch_cancellable` pass so the per-candidate
+    /// walks afterwards run on cache hits. Each set it solves counts as
+    /// one eq-cache miss, so `misses` equals fresh solves on this path as
+    /// on the walk's.
+    ///
+    /// Single estimates do not come here: at tens of microseconds per
+    /// bisection solve, a thread scope costs about as much as it splits
+    /// over the few sets one estimate misses, so their Eq. 10 walks solve
+    /// each miss in order through [`CombinedModel::solve_cached`].
     ///
     /// Only engages when at least two distinct sets are missing: a single
-    /// missing set gains nothing from batching, and skipping it keeps the
-    /// hit/miss counters of simple estimates identical to the sequential
-    /// path. With warm-start enabled the missing sets are solved strictly
-    /// sequentially through [`CombinedModel::solve_cached`] in
-    /// first-encounter order — warm seeds depend on what was inserted
-    /// just before, so batching them would change the (deterministic)
-    /// seeding sequence.
+    /// missing set gains nothing from batching. With warm-start enabled
+    /// the missing sets are solved strictly sequentially through
+    /// [`CombinedModel::solve_cached`] in first-encounter order — warm
+    /// seeds depend on what was inserted just before, so batching them
+    /// would change the (deterministic) seeding sequence.
     ///
     /// Per-set solve errors are *not* surfaced here: a failed set is left
     /// uncached and the main walk re-encounters the same deterministic
@@ -569,6 +582,9 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
             .collect();
         let results = self.perf.solve_batch_cancellable(&corun_sets, workers, cancel);
         for (idxs, res) in missing.iter().zip(results) {
+            if !matches!(res, Err(ModelError::Math(mathkit::MathError::Cancelled))) {
+                self.eq_cache.note_prestaged_solve();
+            }
             match res {
                 Ok(eq) => {
                     let running: Vec<(usize, &ProcessProfile)> =
@@ -638,9 +654,6 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         cancel: &CancelToken,
     ) -> Result<f64, ModelError> {
         self.validate(profiles, assignment)?;
-        let dies = (0..self.machine.dies).map(|d| DieId(d as u32));
-        let sets = self.collect_die_sets(profiles, assignment, dies)?;
-        self.prestage_sets(profiles, sets, 0, cancel)?;
         let mut makespan: f64 = 0.0;
         for die in 0..self.machine.dies {
             let cores = self.machine.cores_of(DieId(die as u32));
@@ -1447,6 +1460,35 @@ mod tests {
             assert_eq!(seq_bits, par_bits, "workers = {workers}");
             assert!(cm.cached_equilibria() >= 1);
         }
+    }
+
+    #[test]
+    fn candidate_sweep_counts_one_miss_per_fresh_solve() {
+        // Two busy dies; the candidates put `c` next to `a`, `b` and `d`
+        // in turn, so the batch prestage solves four distinct sets
+        // ({a,b}, {b,c}, {a,c}, {c,d}) and the walks then hit them.
+        let m = server();
+        let pm = synthetic_power_model(&m);
+        let ps = vec![
+            synthetic_profile("a", 0.3, 0.02, &m),
+            synthetic_profile("b", 0.2, 0.015, &m),
+            synthetic_profile("c", 0.5, 0.04, &m),
+            synthetic_profile("d", 0.4, 0.03, &m),
+        ];
+        let mut current = Assignment::new(4);
+        current.assign(0, 0).assign(1, 1).assign(2, 3);
+        let cores = [0usize, 1, 2, 3];
+        let sweep = CombinedModel::new(&m, &pm);
+        sweep.estimate_candidates(&ps, &current, 2, &cores, 2).unwrap();
+        let st = sweep.equilibrium_cache_stats();
+        assert_eq!((st.misses, st.evictions), (4, 0), "{st:?}");
+        assert_eq!(st.misses as usize, sweep.cached_equilibria(), "{st:?}");
+        // A sequential loop of single estimates solves the same sets.
+        let serial = CombinedModel::new(&m, &pm);
+        for &core in &cores {
+            serial.estimate_after_assigning(&ps, &current, 2, core).unwrap();
+        }
+        assert_eq!(serial.equilibrium_cache_stats().misses, st.misses);
     }
 
     #[test]

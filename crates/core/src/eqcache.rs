@@ -41,7 +41,8 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 pub struct EqCacheStats {
     /// Lookups that found a memoized equilibrium.
     pub hits: u64,
-    /// Lookups that had to solve.
+    /// Fresh solves: lookups that had to solve, plus the sets a batch
+    /// prestage solved ahead of the walk that then hits them.
     pub misses: u64,
     /// Entries dropped by the LRU bound.
     pub evictions: u64,
@@ -114,6 +115,8 @@ pub struct EquilibriumCache {
     /// Fresh solves whose diagnostics recorded a fallback or degraded
     /// result (tracked here because the cache sees every solve).
     fallback_solves: AtomicU64,
+    /// Sets solved by a batch prestage without a counted lookup.
+    prestaged_solves: AtomicU64,
     /// Warm-start accounting (see [`EqCacheStats`]).
     warm_attempts: AtomicU64,
     warm_hits: AtomicU64,
@@ -165,6 +168,7 @@ impl EquilibriumCache {
             dies: Shards::new(per_shard),
             capacity: per_shard * SHARDS,
             fallback_solves: AtomicU64::new(0),
+            prestaged_solves: AtomicU64::new(0),
             warm_attempts: AtomicU64::new(0),
             warm_hits: AtomicU64::new(0),
             warm_fallbacks: AtomicU64::new(0),
@@ -254,6 +258,12 @@ impl EquilibriumCache {
         self.fallback_solves.load(Ordering::Relaxed)
     }
 
+    /// Records a set a batch prestage solved after peeking it absent: a
+    /// miss no lookup counted.
+    pub(crate) fn note_prestaged_solve(&self) {
+        self.prestaged_solves.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records a miss where a neighbor seed was available and a
     /// warm-started solve was attempted.
     pub fn note_warm_attempt(&self) {
@@ -288,7 +298,7 @@ impl EquilibriumCache {
         let (die_hits, die_misses, _, die_entries) = self.dies.counters();
         EqCacheStats {
             hits,
-            misses,
+            misses: misses + self.prestaged_solves.load(Ordering::Relaxed),
             evictions,
             entries,
             capacity: self.capacity,

@@ -227,8 +227,12 @@ impl Equilibrium {
 /// `S` is the smallest fixed point of `S = G(APS(S) * T)`, found by
 /// bisection on `phi(S) = S - G(APS(S) * T)` over `[0, A]` (`phi(0) <= 0`,
 /// `phi(A) >= 0` because `G <= A`).
-fn size_for_window(f: &FeatureVector, a: f64, t: f64) -> f64 {
-    let phi = |s: f64| s - f.occupancy().g(f.aps_at(s) * t);
+///
+/// `cursor` is the caller's segment hint into `f`'s occupancy knots (see
+/// [`OccupancyCurve::g_with_cursor`](crate::occupancy::OccupancyCurve::g_with_cursor)):
+/// it changes how fast `G` is looked up, never the result.
+fn size_for_window(f: &FeatureVector, a: f64, t: f64, cursor: &mut usize) -> f64 {
+    let mut phi = |s: f64| s - f.occupancy().g_with_cursor(f.aps_at(s) * t, cursor);
     let phi_a = phi(a);
     if phi_a <= 0.0 {
         return a; // demand saturates the whole cache within this window
@@ -527,11 +531,13 @@ fn bisection_core(
 ) -> Result<CoreSolution, ModelError> {
     // Total occupancy as a function of the window T (monotone
     // non-decreasing in T). The counter makes outer-solve effort visible
-    // in the diagnostics.
+    // in the diagnostics. Each process keeps one occupancy cursor for the
+    // whole solve: successive windows query nearby `G` segments.
     let evals = Cell::new(0usize);
-    let total = |t: f64| -> f64 {
+    let mut cursors = vec![0usize; features.len()];
+    let mut total = |t: f64| -> f64 {
         evals.set(evals.get() + 1);
-        features.iter().map(|f| size_for_window(f, a, t)).sum()
+        features.iter().zip(&mut cursors).map(|(f, c)| size_for_window(f, a, t, c)).sum()
     };
 
     // Bracket T: expand upward until the cache is filled (to tolerance)
@@ -548,7 +554,7 @@ fn bisection_core(
         if t_hi > WINDOW_CAP {
             // Demand can never fill the cache: return saturated sizes.
             let sizes: Vec<f64> =
-                features.iter().map(|f| size_for_window(f, a, WINDOW_CAP)).collect();
+                features.iter().map(|f| size_for_window(f, a, WINDOW_CAP, &mut 0)).collect();
             let sum: f64 = sizes.iter().sum();
             let diag = SolveDiagnostics::direct(
                 SolveMethod::NestedBisection,
@@ -579,7 +585,8 @@ fn bisection_core(
         .map_err(|e| outer_bisection_error("outer bisection", e))?
     };
 
-    let mut sizes: Vec<f64> = features.iter().map(|f| size_for_window(f, a, t)).collect();
+    let mut sizes: Vec<f64> =
+        features.iter().zip(&mut cursors).map(|(f, c)| size_for_window(f, a, t, c)).collect();
     // Distribute any residual capacity error proportionally so the
     // constraint holds exactly (cosmetic: the residual is < 1e-6 ways).
     let sum: f64 = sizes.iter().sum();
@@ -651,7 +658,7 @@ pub struct CorunSet<'a> {
 }
 
 /// Solves many co-run sets with the solver `kind`, returning one `Result`
-/// per set in set order (so callers like the estimate prestage can keep
+/// per set in set order (so callers like the candidate prestage can keep
 /// going past individual failures).
 ///
 /// Each set's result is **bit-identical** to a standalone
@@ -1143,7 +1150,8 @@ fn robust_core(
     // Infeasible capacity constraint: if demand saturates below `A` even
     // at an effectively infinite window, no equilibrium root exists.
     // Answer with the saturated sizes directly, as `solve` does.
-    let sat_sizes: Vec<f64> = features.iter().map(|f| size_for_window(f, a, WINDOW_CAP)).collect();
+    let sat_sizes: Vec<f64> =
+        features.iter().map(|f| size_for_window(f, a, WINDOW_CAP, &mut 0)).collect();
     let sat_sum: f64 = sat_sizes.iter().sum();
     if sat_sum < a - 1e-2 {
         let diag = SolveDiagnostics::direct(SolveMethod::NestedBisection, k, 0.0);
@@ -1279,7 +1287,7 @@ fn solve_fixed_point_stage(
             }
             Err(_) => {
                 iters.set(iters.get() + opts.max_fixed_point_iter);
-                size_for_window(f, a, t)
+                size_for_window(f, a, t, &mut 0)
             }
         }
     };

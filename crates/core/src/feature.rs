@@ -320,14 +320,18 @@ mod tests {
 
     #[test]
     fn stored_fingerprint_equals_a_from_scratch_recompute() {
-        let fresh = FeatureVector::from_workload(&SpecWorkload::Mcf.params(), &server()).unwrap();
-        let clone = fresh.clone();
-        let narrower = fresh.with_assoc(12).unwrap();
-        let mut text = Vec::new();
-        crate::persist::write_feature(&fresh, &mut text).unwrap();
-        let reloaded = crate::persist::read_feature(text.as_slice()).unwrap();
-        for fv in [&fresh, &clone, &narrower, &reloaded] {
-            assert_eq!(fv.content_fingerprint(), fnv_from_scratch(fv), "{}", fv.assoc());
+        for w in SpecWorkload::table1_suite() {
+            let fresh = FeatureVector::from_workload(&w.params(), &server()).unwrap();
+            let clone = fresh.clone();
+            let narrower = fresh.with_assoc(12).unwrap();
+            let mut text = Vec::new();
+            crate::persist::write_feature(&fresh, &mut text).unwrap();
+            let reloaded = crate::persist::read_feature(text.as_slice()).unwrap();
+            for fv in [&fresh, &clone, &narrower, &reloaded] {
+                assert_eq!(fv.content_fingerprint(), fnv_from_scratch(fv), "{w:?} {}", fv.assoc());
+            }
+            // A written profile reads back as the same content.
+            assert_eq!(reloaded.content_fingerprint(), fresh.content_fingerprint(), "{w:?}");
         }
     }
 

@@ -18,6 +18,23 @@
 use crate::ModelError;
 use mathkit::interp::PiecewiseLinear;
 
+/// The total mass of `probs` plus `p_inf`, after checking that every
+/// mass is finite and non-negative and that the total is within 1e-6 of 1.
+fn checked_mass(probs: &[f64], p_inf: f64) -> Result<f64, ModelError> {
+    if probs.iter().chain(std::iter::once(&p_inf)).any(|&p| !p.is_finite() || p < 0.0) {
+        return Err(ModelError::InvalidDistribution(
+            "probabilities must be finite and non-negative".into(),
+        ));
+    }
+    let total: f64 = probs.iter().sum::<f64>() + p_inf;
+    if (total - 1.0).abs() > 1e-6 {
+        return Err(ModelError::InvalidDistribution(format!(
+            "histogram mass is {total}, expected 1"
+        )));
+    }
+    Ok(total)
+}
+
 /// A normalized reuse-distance histogram.
 ///
 /// # Examples
@@ -66,20 +83,23 @@ impl ReuseHistogram {
     /// negative/non-finite or the total differs from 1 by more than 1e-6
     /// (small measurement slack is renormalized away).
     pub fn new(probs: Vec<f64>, p_inf: f64) -> Result<Self, ModelError> {
-        if probs.iter().chain(std::iter::once(&p_inf)).any(|&p| !p.is_finite() || p < 0.0) {
-            return Err(ModelError::InvalidDistribution(
-                "probabilities must be finite and non-negative".into(),
-            ));
-        }
-        let total: f64 = probs.iter().sum::<f64>() + p_inf;
-        if (total - 1.0).abs() > 1e-6 {
-            return Err(ModelError::InvalidDistribution(format!(
-                "histogram mass is {total}, expected 1"
-            )));
-        }
+        let total = checked_mass(&probs, p_inf)?;
         // Renormalize the tiny numerical slack.
         let probs = probs.iter().map(|p| p / total).collect();
         Ok(ReuseHistogram::from_parts(probs, p_inf / total))
+    }
+
+    /// Rebuilds a histogram from stored masses: validated exactly as
+    /// [`ReuseHistogram::new`] validates, but kept as written rather than
+    /// renormalized, so a histogram that was written out reads back with
+    /// the same bits (and its feature vector with the same fingerprint).
+    ///
+    /// # Errors
+    ///
+    /// As for [`ReuseHistogram::new`].
+    pub(crate) fn from_stored(probs: Vec<f64>, p_inf: f64) -> Result<Self, ModelError> {
+        checked_mass(&probs, p_inf)?;
+        Ok(ReuseHistogram::from_parts(probs, p_inf))
     }
 
     /// Builds a histogram from a measured MPA curve (Eq. 8):

@@ -162,6 +162,13 @@ impl OccupancyCurve {
         self.curve.eval(n)
     }
 
+    /// [`OccupancyCurve::g`] with a segment search that starts from
+    /// `cursor` (see [`PiecewiseLinear::eval_with_cursor`]): the same
+    /// bits for any cursor, O(1) when successive arguments stay close.
+    pub(crate) fn g_with_cursor(&self, n: f64, cursor: &mut usize) -> f64 {
+        self.curve.eval_with_cursor(n, cursor)
+    }
+
     /// Smallest per-set access count with expected occupancy `s`; returns
     /// the tabulation limit if `s` is at or beyond the saturation level.
     pub fn g_inverse(&self, s: f64) -> f64 {

@@ -131,7 +131,7 @@ impl PerformanceModel {
     /// `workers` threads (`0` = auto). Returns one `Result` per set, in
     /// set order, each bit-identical to a standalone
     /// [`PerformanceModel::solve`] of the same features — errors included —
-    /// so callers that tolerate individual failures (the estimate
+    /// so callers that tolerate individual failures (the candidate
     /// prestage) keep going.
     pub fn solve_batch_cancellable(
         &self,

@@ -80,6 +80,10 @@ fn write_feature_body<W: Write>(feature: &FeatureVector, w: &mut W) -> std::io::
 
 /// Reads a full [`ProcessProfile`] written by [`write_profile`].
 ///
+/// The histogram masses must sum to 1 within 1e-6 and are kept as
+/// written, so a profile read back from its file has the bits, and the
+/// content fingerprint, of the one that was written.
+///
 /// # Errors
 ///
 /// - [`ModelError::UnusableProfile`] for malformed input, missing keys,
@@ -176,7 +180,9 @@ fn feature_from_fields(fields: &BTreeMap<String, String>) -> Result<FeatureVecto
                 .map_err(|_| ModelError::UnusableProfile(format!("bad hist value '{tok}'")))
         })
         .collect::<Result<_, _>>()?;
-    let hist = ReuseHistogram::new(probs, p_inf)?;
+    // Kept as written: renormalizing would move the last bits of masses
+    // that were normalized when written, and with them the fingerprint.
+    let hist = ReuseHistogram::from_stored(probs, p_inf)?;
     let spi = SpiModel::new(alpha, beta)?;
     FeatureVector::new(name, hist, api, spi, assoc)
 }

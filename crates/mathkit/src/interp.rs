@@ -70,6 +70,19 @@ impl PiecewiseLinear {
     /// A NaN input yields NaN rather than a panic, so callers can detect
     /// poisoned values downstream.
     pub fn eval(&self, x: f64) -> f64 {
+        self.eval_with_cursor(x, &mut (self.xs.len() / 2))
+    }
+
+    /// [`PiecewiseLinear::eval`] with a segment search that starts from
+    /// `cursor`, a hint the caller keeps between calls: the index of the
+    /// knot that ended the segment used last time. Any value is a valid
+    /// cursor (out-of-range ones are clamped), and the result does not
+    /// depend on it: the knots are strictly increasing, so exactly one
+    /// segment contains `x`. The search tests the cursor's segment first,
+    /// gallops outward, then bisects inside the bracket, so a caller
+    /// whose successive arguments stay close pays O(1) instead of a full
+    /// O(log n) search. An in-range `x` leaves the cursor on its segment.
+    pub fn eval_with_cursor(&self, x: f64, cursor: &mut usize) -> f64 {
         if x.is_nan() {
             return f64::NAN;
         }
@@ -80,16 +93,57 @@ impl PiecewiseLinear {
         if x >= self.xs[n - 1] {
             return self.ys[n - 1];
         }
-        // Binary search for the containing segment. The knots are strictly
-        // increasing (checked at construction) and x is not NaN, so
-        // total_cmp agrees with the numeric order here.
-        let idx = match self.xs.binary_search_by(|v| v.total_cmp(&x)) {
-            Ok(i) => return self.ys[i],
-            Err(i) => i, // xs[i-1] < x < xs[i]
-        };
+        let idx = self.segment_end(x, *cursor);
+        *cursor = idx;
+        if self.xs[idx].total_cmp(&x).is_eq() {
+            return self.ys[idx];
+        }
+        // xs[idx-1] < x < xs[idx]
         let (x0, x1) = (self.xs[idx - 1], self.xs[idx]);
         let (y0, y1) = (self.ys[idx - 1], self.ys[idx]);
         y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    }
+
+    /// The first knot index `i` with `xs[i] >= x`, for a non-NaN `x`
+    /// strictly inside the knot range (so `1 <= i <= n - 1`), searched
+    /// outward from `hint`. Comparisons use `total_cmp`, the order the
+    /// knots were always searched in; for non-NaN values it differs from
+    /// `<` only between `-0.0` and `+0.0`.
+    fn segment_end(&self, x: f64, hint: usize) -> usize {
+        let xs = &self.xs;
+        let last = xs.len() - 1;
+        let below = |v: f64| v.total_cmp(&x).is_lt();
+        let c = hint.clamp(1, last);
+        // Bracket the answer in (lo, hi] with xs[lo] < x <= xs[hi]; the
+        // range guards of the caller make xs[0] and xs[last] valid ends.
+        let (mut lo, mut hi) = (c - 1, c);
+        let mut step = 1;
+        if below(xs[c]) {
+            lo = c;
+            // lint:allow(cancellation_propagation) -- gallop: the probe doubles toward the last knot every iteration
+            loop {
+                let probe = (lo + step).min(last);
+                if probe == last || !below(xs[probe]) {
+                    hi = probe;
+                    break;
+                }
+                lo = probe;
+                step *= 2;
+            }
+        } else if !below(xs[c - 1]) {
+            hi = c - 1;
+            // lint:allow(cancellation_propagation) -- gallop: the probe halves toward the first knot every iteration
+            loop {
+                let probe = hi.saturating_sub(step);
+                if probe == 0 || below(xs[probe]) {
+                    lo = probe;
+                    break;
+                }
+                hi = probe;
+                step *= 2;
+            }
+        }
+        lo + 1 + xs[lo + 1..hi].partition_point(|&v| below(v))
     }
 
     /// Inverts a (weakly) monotone non-decreasing interpolant: returns the
@@ -215,5 +269,100 @@ mod tests {
     #[test]
     fn domain_reported() {
         assert_eq!(ramp().domain(), (0.0, 3.0));
+    }
+
+    /// The full binary search `eval` used before the cursor existed: the
+    /// reference the cursor search must reproduce bit for bit.
+    fn eval_by_binary_search(f: &PiecewiseLinear, x: f64) -> f64 {
+        let (xs, ys) = (f.xs(), f.ys());
+        let n = xs.len();
+        if x.is_nan() {
+            return f64::NAN;
+        }
+        if x <= xs[0] {
+            return ys[0];
+        }
+        if x >= xs[n - 1] {
+            return ys[n - 1];
+        }
+        let idx = match xs.binary_search_by(|v| v.total_cmp(&x)) {
+            Ok(i) => return ys[i],
+            Err(i) => i,
+        };
+        let (x0, x1) = (xs[idx - 1], xs[idx]);
+        let (y0, y1) = (ys[idx - 1], ys[idx]);
+        y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    }
+
+    /// Queries at and between every knot, beyond both ends, at the signed
+    /// zeros and NaN.
+    fn probes(xs: &[f64], fracs: &[f64]) -> Vec<f64> {
+        let (first, last) = (xs[0], xs[xs.len() - 1]);
+        let mut out = vec![first - 1.0, last + 1.0, f64::NEG_INFINITY, f64::INFINITY];
+        out.extend([f64::NAN, 0.0, -0.0]);
+        out.extend_from_slice(xs);
+        for (w, &t) in xs.windows(2).zip(fracs.iter().cycle()) {
+            out.push(w[0] + (w[1] - w[0]) * t);
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn cursor_search_returns_the_bits_of_eval_from_every_cursor(
+            start in -5.0f64..5.0,
+            gaps in proptest::collection::vec(0.001f64..10.0, 1..40),
+            ys_raw in proptest::collection::vec(-100.0f64..100.0, 41),
+            fracs in proptest::collection::vec(0.0f64..1.0, 1..8),
+        ) {
+            let mut xs = vec![start];
+            for g in &gaps {
+                let next = xs[xs.len() - 1] + g;
+                xs.push(next);
+            }
+            let ys = ys_raw[..xs.len()].to_vec();
+            let f = PiecewiseLinear::new(xs.clone(), ys).unwrap();
+            let n = xs.len();
+            let cursors = (0..n + 3).chain([usize::MAX]);
+            for x in probes(&xs, &fracs) {
+                let want = eval_by_binary_search(&f, x).to_bits();
+                proptest::prop_assert_eq!(f.eval(x).to_bits(), want, "eval at {}", x);
+                for c in cursors.clone() {
+                    let mut cursor = c;
+                    let got = f.eval_with_cursor(x, &mut cursor).to_bits();
+                    proptest::prop_assert_eq!(got, want, "x {} from cursor {}", x, c);
+                    // A held cursor keeps giving the same bits.
+                    let again = f.eval_with_cursor(x, &mut cursor).to_bits();
+                    proptest::prop_assert_eq!(again, want, "x {} from held cursor {}", x, cursor);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cursor_lands_on_the_segment_of_an_in_range_query() {
+        let f = PiecewiseLinear::new(vec![0.0, 1.0, 2.0, 4.0, 8.0], vec![0.0; 5]).unwrap();
+        for (x, end) in [(0.5, 1), (1.0, 1), (1.5, 2), (3.0, 3), (7.9, 4)] {
+            for start in [0, 2, 4, 99] {
+                let mut cursor = start;
+                f.eval_with_cursor(x, &mut cursor);
+                assert_eq!(cursor, end, "x {x} from {start}");
+            }
+        }
+        // A knot at zero: -0.0 sorts below it, as in the old search.
+        let z = PiecewiseLinear::new(vec![-1.0, 0.0, 1.0], vec![3.0, 0.1, 7.0]).unwrap();
+        for x in [0.0, -0.0] {
+            let mut cursor = 2;
+            let got = z.eval_with_cursor(x, &mut cursor).to_bits();
+            assert_eq!(got, eval_by_binary_search(&z, x).to_bits(), "x {x}");
+        }
+        // Out-of-range and NaN queries leave the cursor alone.
+        for x in [-1.0, 9.0, f64::NAN] {
+            let mut cursor = 3;
+            f.eval_with_cursor(x, &mut cursor);
+            assert_eq!(cursor, 3, "x {x}");
+        }
     }
 }
