@@ -83,6 +83,11 @@ impl ParsedArgs {
     pub fn flag(&self, name: &str) -> bool {
         self.flags.contains(name)
     }
+
+    /// Every `--name` given, options then flags, each in name order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.options.keys().chain(&self.flags).map(String::as_str)
+    }
 }
 
 #[cfg(test)]
@@ -101,6 +106,7 @@ mod tests {
         assert_eq!(a.opt("out"), Some("prof.txt"));
         assert!(a.flag("fast"));
         assert!(!a.flag("full"));
+        assert_eq!(a.names().collect::<Vec<_>>(), ["machine", "out", "fast"]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::args::ParsedArgs;
 use crate::resolve::{self, CliError};
-use cmpsim::engine::{simulate, EngineKind, Placement, SimOptions};
+use cmpsim::engine::{simulate, Placement, SimOptions};
 use cmpsim::process::ProcessSpec;
 use cmpsim::trace::{miss_ratio_curve, stack_distance_histogram, Trace, TraceRecorder};
 use cmpsim::types::LineAddr;
@@ -53,18 +53,15 @@ commands:
                                         exits 4 and reports the least-power
                                         placement found.
   simulate --assign A [--machine M] [--duration S] [--seed N] [--sets N]
-           [--engine events|lockstep] [--json]
-                                        run the assignment on the simulator
-                                        (--engine picks the kernel; the two
-                                        must agree bit-for-bit, see README.
-                                        --json prints a machine-readable
+           [--json]                     run the assignment on the simulator
+                                        (--json prints a machine-readable
                                         summary)
   trace <workload> [--steps N] [--out FILE] [--sets N]
                                         record an access trace
   mrc <tracefile> [--sets N] [--assoc A]
                                         miss-ratio curve of a trace
   validate [--tiny | --fast] [--machine M] [--sets N] [--mixes N] [--seed N]
-           [--workers N] [--engine events|lockstep] [--out FILE]
+           [--workers N] [--out FILE]
                                         differential model-vs-simulator
                                         validation plus invariant and
                                         metamorphic checks; writes a
@@ -87,6 +84,8 @@ commands:
                                         (mpmc-lint) from the enclosing
                                         workspace root; see README
                                         \"Static analysis\"
+
+Each command refuses options it does not list (exit 2).
 
 assignment syntax: per-core lists, ';' between cores, ',' within a core,
 e.g. \"mcf,art;gzip\" = mcf+art time-shared on core 0, gzip on core 1.
@@ -112,13 +111,6 @@ fn machine_from(args: &ParsedArgs) -> Result<cmpsim::machine::MachineConfig, Cli
         None => None,
     };
     resolve::machine(args.opt("machine").unwrap_or("server"), sets)
-}
-
-fn engine_from(args: &ParsedArgs) -> Result<EngineKind, CliError> {
-    match args.opt("engine") {
-        Some(raw) => EngineKind::from_name(raw).map_err(CliError::usage),
-        None => Ok(EngineKind::default()),
-    }
 }
 
 /// `mpmc machines`
@@ -507,7 +499,6 @@ pub fn simulate_cmd(args: &ParsedArgs) -> Result<String, CliError> {
     let per_core = resolve::assignment_string(assign, machine.num_cores())?;
     let duration: f64 = args.opt_parse("duration", 2.0)?;
     let seed: u64 = args.opt_parse("seed", 0xC11u64)?;
-    let engine = engine_from(args)?;
 
     let mut placement = Placement::idle(machine.num_cores());
     let mut region = 1u64;
@@ -533,7 +524,6 @@ pub fn simulate_cmd(args: &ParsedArgs) -> Result<String, CliError> {
             duration_s: duration,
             warmup_s: (duration * 0.25).min(1.0),
             seed,
-            engine,
             ..Default::default()
         },
     )
@@ -555,10 +545,9 @@ pub fn simulate_cmd(args: &ParsedArgs) -> Result<String, CliError> {
                 ])
             })
             .collect();
-        // The engine name stays out of this summary on purpose: the CI
-        // parity gate compares the events and lockstep runs byte for
-        // byte (Json renders f64 with shortest-round-trip formatting,
-        // so equal results render identically).
+        // Json renders f64 with shortest-round-trip formatting, so equal
+        // results render identically: the CI parity gate compares this
+        // summary byte for byte against committed golden files.
         let summary = Json::Obj(vec![
             ("machine".to_string(), Json::str(machine.name.as_str())),
             ("assignment".to_string(), Json::str(assign)),
@@ -575,11 +564,7 @@ pub fn simulate_cmd(args: &ParsedArgs) -> Result<String, CliError> {
         return Ok(out);
     }
 
-    let mut out = format!(
-        "simulated \"{assign}\" on {} for {duration} s ({} engine):\n",
-        machine.name,
-        engine.name()
-    );
+    let mut out = format!("simulated \"{assign}\" on {} for {duration} s:\n", machine.name);
     out.push_str(&format!(
         "{:<10}{:>5}{:>9}{:>9}{:>13}{:>9}\n",
         "process", "core", "ways", "MPA", "SPI", "API"
@@ -701,7 +686,6 @@ pub fn validate(args: &ParsedArgs) -> Result<String, CliError> {
     cfg.max_mixes = args.opt_parse("mixes", cfg.max_mixes)?;
     cfg.scale.seed = args.opt_parse("seed", cfg.scale.seed)?;
     cfg.scale.workers = resolve::workers(args)?;
-    cfg.scale.engine = engine_from(args)?;
 
     let report = diffval::run(&cfg).map_err(CliError::from)?;
     let out_path = args.opt("out").unwrap_or("VALIDATION.json");
@@ -826,6 +810,42 @@ fn lint_cmd(args: &ParsedArgs) -> Result<String, CliError> {
     }
 }
 
+/// A subcommand implementation.
+type Command = fn(&ParsedArgs) -> Result<String, CliError>;
+
+/// The boolean switches; every other `--name` takes a value.
+const FLAGS: &[&str] =
+    &["fast", "strict", "tiny", "stdio", "warm-start", "optimize", "brute", "json"];
+
+/// Every subcommand with the options and flags it reads, separated by
+/// spaces. [`dispatch`] refuses any other `--name`, so a misspelt or
+/// retired option is a usage error instead of a silent default.
+const COMMANDS: &[(&str, &str, Command)] = &[
+    ("machines", "", |_| Ok(machines())),
+    ("workloads", "", |_| Ok(workloads_cmd())),
+    ("profile", "machine sets fast out", profile),
+    ("predict", "machine sets strict", predict),
+    ("train", "machine sets fast out", train),
+    ("estimate", "assign machine sets power fast", estimate),
+    (
+        "assign",
+        "machine sets optimize objective power fast workers seed brute baseline",
+        assign_cmd,
+    ),
+    ("simulate", "assign machine sets duration seed json", simulate_cmd),
+    ("trace", "machine sets steps out", trace),
+    ("mrc", "sets assoc", mrc),
+    ("validate", "tiny fast machine sets mixes seed workers out", validate),
+    (
+        "serve",
+        "power stdio listen machine sets workers cache-capacity max-line-bytes max-connections \
+         max-inflight max-queued queue-wait-ms default-deadline-ms breaker-window \
+         breaker-threshold breaker-cooldown singleflight-wait-ms warm-start",
+        serve,
+    ),
+    ("lint", "format config", lint_cmd),
+];
+
 /// Dispatches a full command line (without the program name).
 ///
 /// # Errors
@@ -837,27 +857,17 @@ pub fn dispatch(argv: &[String]) -> Result<String, CliError> {
     let Some((cmd, rest)) = argv.split_first() else {
         return Err(CliError::usage(USAGE));
     };
-    let args = ParsedArgs::parse(
-        rest.iter().cloned(),
-        &["fast", "full", "strict", "tiny", "stdio", "warm-start", "optimize", "brute", "json"],
-    )?;
-    match cmd.as_str() {
-        "machines" => Ok(machines()),
-        "workloads" => Ok(workloads_cmd()),
-        "profile" => profile(&args),
-        "predict" => predict(&args),
-        "train" => train(&args),
-        "estimate" => estimate(&args),
-        "assign" => assign_cmd(&args),
-        "simulate" => simulate_cmd(&args),
-        "trace" => trace(&args),
-        "mrc" => mrc(&args),
-        "validate" => validate(&args),
-        "serve" => serve(&args),
-        "lint" => lint_cmd(&args),
-        "help" | "--help" | "-h" => Ok(USAGE.to_string()),
-        other => Err(CliError::usage(format!("unknown command '{other}'\n\n{USAGE}"))),
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        return Ok(USAGE.to_string());
     }
+    let Some(&(_, accepted, command)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        return Err(CliError::usage(format!("unknown command '{cmd}'\n\n{USAGE}")));
+    };
+    let args = ParsedArgs::parse(rest.iter().cloned(), FLAGS)?;
+    if let Some(name) = args.names().find(|name| !accepted.split_whitespace().any(|a| a == *name)) {
+        return Err(CliError::usage(format!("{cmd}: unknown option --{name} (see 'mpmc help')")));
+    }
+    command(&args)
 }
 
 #[cfg(test)]
@@ -950,15 +960,15 @@ mod tests {
             "0.3",
         ])
         .unwrap();
+        assert!(out.starts_with("simulated \"gzip;twolf\" on "), "{out}");
         assert!(out.contains("gzip"));
-        assert!(out.contains("events engine"));
         assert!(out.contains("measured processor power"));
         assert!(run(&["simulate"]).is_err());
         assert!(run(&["simulate", "--assign", "a;b;c", "--machine", "duo"]).is_err());
     }
 
     #[test]
-    fn simulate_engine_flag() {
+    fn commands_reject_options_they_do_not_read() {
         let base = [
             "simulate",
             "--assign",
@@ -975,9 +985,19 @@ mod tests {
             argv.extend_from_slice(extra);
             run(&argv)
         };
-        let out = with(&["--engine", "lockstep"]).unwrap();
-        assert!(out.contains("lockstep engine"), "{out}");
-        assert_eq!(with(&["--engine", "cycle-exact"]).unwrap_err().code, exit_code::USAGE);
+        // A retired option and a misspelt one: both refused by name
+        // before anything runs.
+        for (extra, name) in [(["--engine", "lockstep"], "--engine"), (["--sest", "64"], "--sest")]
+        {
+            let err = with(&extra).unwrap_err();
+            assert_eq!(err.code, exit_code::USAGE, "{extra:?}");
+            assert!(err.message.contains(name), "{}", err.message);
+        }
+        // Flags are per command too.
+        let err = run(&["predict", "mcf", "gzip", "--fast"]).unwrap_err();
+        assert_eq!(err.code, exit_code::USAGE);
+        assert!(err.message.contains("--fast"), "{}", err.message);
+        assert_eq!(run(&["machines", "--machine", "duo"]).unwrap_err().code, exit_code::USAGE);
         assert_eq!(
             run(&["validate", "--tiny", "--engine", "nope"]).unwrap_err().code,
             exit_code::USAGE
@@ -985,12 +1005,11 @@ mod tests {
     }
 
     #[test]
-    fn simulate_json_summaries_agree_across_engines() {
-        // The same contract the CI parity gate enforces with jq: both
-        // engines render byte-identical JSON summaries. The duration
-        // must exceed the 1 s preset timeslice or no slice ever expires
-        // and the time-shared pair never actually switches.
-        let base = [
+    fn simulate_json_matches_the_committed_workstation_golden() {
+        // CI's workstation parity run, byte for byte against the file the
+        // CI gate `cmp`s. The duration exceeds the 1 s preset timeslice,
+        // so the time-shared pair switches.
+        let out = run(&[
             "simulate",
             "--assign",
             "mcf,gzip;art",
@@ -1000,21 +1019,14 @@ mod tests {
             "64",
             "--duration",
             "2.2",
+            "--seed",
+            "7",
             "--json",
-            "--engine",
-        ];
-        let with = |engine: &str| {
-            let mut argv: Vec<&str> = base.to_vec();
-            argv.push(engine);
-            run(&argv).unwrap()
-        };
-        let ev = with("events");
-        let ls = with("lockstep");
-        assert_eq!(ev, ls, "engines diverged:\n{ev}\nvs\n{ls}");
-        let parsed = mpmc_service::json::parse(ev.trim()).unwrap();
-        assert!(parsed.get("machine").and_then(|m| m.as_str()).unwrap().contains("workstation"));
-        let procs = parsed.get("processes").and_then(|p| p.as_arr()).unwrap();
-        assert_eq!(procs.len(), 3);
+        ])
+        .unwrap();
+        assert_eq!(out, include_str!("../../../tests/golden/simulate_workstation.json"));
+        let parsed = mpmc_service::json::parse(out.trim()).unwrap();
+        assert_eq!(parsed.get("processes").and_then(|p| p.as_arr()).unwrap().len(), 3);
         assert!(parsed.get("slice_expiries").and_then(|n| n.as_f64()).unwrap() > 0.0);
         assert!(parsed.get("context_switches").and_then(|n| n.as_f64()).unwrap() > 0.0);
     }

@@ -1,4 +1,4 @@
-//! Multi-core simulation: shared world state, the two engine kernels, and
+//! Multi-core simulation: shared world state, the run entry point, and
 //! the result types.
 //!
 //! Each core advances a local clock in cycles; steps execute in global
@@ -8,19 +8,16 @@
 //! issues fewer L2 accesses per second, therefore inserts lines more slowly
 //! and holds less of the cache.
 //!
-//! Two kernels produce that schedule:
-//!
-//! - [`EngineKind::Events`] (default): the discrete-event kernel in
-//!   [`crate::events`] — a `BinaryHeap` of timestamped events (step starts,
-//!   slice expiries, HPC snapshots, process arrivals/departures), one heap
-//!   per busy die, each die on its own worker. Only this kernel supports
-//!   mid-run process arrival and departure
-//!   ([`crate::process::ProcessSpec::with_arrival`] /
-//!   [`with_departure`](crate::process::ProcessSpec::with_departure)).
-//! - [`EngineKind::Lockstep`]: the original min-clock scan, kept as the
-//!   migration oracle. Without arrivals/departures the two kernels are
-//!   bit-identical (pinned by the parity corpus in
-//!   `tests/parallel_determinism.rs`).
+//! The schedule is the min-clock rule: the next step belongs to the live
+//! core with the smallest clock, ties going to the lowest core index (a
+//! strict `<` over cores in index order). Before that step picks its
+//! process, every slice boundary at or before its start rotates the core's
+//! scheduler, and every occupancy snapshot on the sampling grid at or
+//! before its start fires. [`simulate`] runs this schedule on the
+//! discrete-event kernel in `crate::events`, one event heap per busy die,
+//! which also places processes that arrive or depart mid-run
+//! ([`crate::process::ProcessSpec::with_arrival`] /
+//! [`with_departure`](crate::process::ProcessSpec::with_departure)).
 //!
 //! The engine also emulates the measurement infrastructure: per-core HPC
 //! sampling at the machine's sampling period and the current-clamp power
@@ -57,42 +54,6 @@ impl fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
-
-/// Which simulation kernel executes the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EngineKind {
-    /// The event-queue kernel (`crate::events`): first-class events for
-    /// step starts, slice expiries, HPC snapshots, and process
-    /// arrival/departure. The default.
-    #[default]
-    Events,
-    /// The original lockstep min-clock scan, retained as the oracle the
-    /// event kernel is checked against. Rejects arrivals/departures.
-    Lockstep,
-}
-
-impl EngineKind {
-    /// Parses a CLI-style engine name.
-    ///
-    /// # Errors
-    ///
-    /// Returns a usage-style message for unknown names.
-    pub fn from_name(name: &str) -> Result<Self, String> {
-        match name {
-            "events" => Ok(EngineKind::Events),
-            "lockstep" => Ok(EngineKind::Lockstep),
-            other => Err(format!("unknown engine '{other}' (expected 'events' or 'lockstep')")),
-        }
-    }
-
-    /// The CLI-style name of this engine.
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineKind::Events => "events",
-            EngineKind::Lockstep => "lockstep",
-        }
-    }
-}
 
 /// A process-to-core placement: `per_core[c]` lists the processes that
 /// time-share core `c` (may be empty for an idle core).
@@ -151,9 +112,6 @@ pub struct SimOptions {
     /// pairs applied to the process's shared L2. Empty means free LRU
     /// sharing (the paper's setting).
     pub way_quotas: Vec<(u32, usize)>,
-    /// Which kernel runs the simulation. The default event kernel and the
-    /// lockstep oracle are bit-identical absent arrivals/departures.
-    pub engine: EngineKind,
 }
 
 impl Default for SimOptions {
@@ -165,7 +123,6 @@ impl Default for SimOptions {
             prefetch: None,
             weights: None,
             way_quotas: Vec::new(),
-            engine: EngineKind::default(),
         }
     }
 }
@@ -377,12 +334,11 @@ pub(crate) struct ProcState {
 pub(crate) struct CoreState {
     pub(crate) clock: Cycles,
     pub(crate) die: usize,
-    /// Currently runnable processes (global indices) in placement order.
-    /// The event kernel mutates this on arrival/departure; the lockstep
-    /// oracle (which rejects residency windows) keeps it fixed.
+    /// Currently runnable processes (global indices) in placement order;
+    /// arrivals append to it and departures remove from it.
     pub(crate) run: Vec<usize>,
     pub(crate) sched: Option<TimeSliceScheduler>,
-    /// Slice expiries retired with dropped schedulers (event kernel only).
+    /// Slice expiries retired with the schedulers of emptied cores.
     pub(crate) retired_expiries: u64,
     /// Processes placed here that have not arrived yet.
     pub(crate) pending_arrivals: usize,
@@ -396,11 +352,10 @@ pub(crate) struct CoreState {
     pub(crate) done: bool,
 }
 
-/// Everything both kernels share: the validated, constructed simulation
-/// state plus the derived timing constants. Building it (and assembling a
-/// [`SimResult`] from it) is engine-independent, which is what guarantees
-/// that the two kernels draw identical RNG streams and produce
-/// field-identical results on the same schedule.
+/// The validated, constructed simulation state plus the derived timing
+/// constants. The kernel runs it to completion, then [`SimResult`] is
+/// assembled from it; every RNG stream is seeded here, before the first
+/// step, so a run's results depend only on its schedule.
 pub(crate) struct SimWorld {
     pub(crate) procs: Vec<ProcState>,
     pub(crate) cores: Vec<CoreState>,
@@ -412,8 +367,8 @@ pub(crate) struct SimWorld {
     pub(crate) num_buckets: usize,
     pub(crate) timeslice: Cycles,
     /// Seed for the power-measurement RNG, drawn from the master RNG at a
-    /// fixed point in its stream (after per-process seeding) so both
-    /// kernels see the same noise.
+    /// fixed point in its stream (after per-process seeding), so the noise
+    /// does not depend on how the run was scheduled.
     power_seed: u64,
     pub(crate) context_switches: u64,
     pub(crate) slice_expiries: u64,
@@ -423,15 +378,14 @@ pub(crate) struct SimWorld {
 /// cannot overflow `u64` even after whole-run additions.
 const MAX_SIM_CYCLES: f64 = (1u64 << 62) as f64;
 
-/// Runs one simulation with the kernel selected by
-/// [`SimOptions::engine`].
+/// Runs one simulation on the event kernel.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] if the placement does not match the machine's core
 /// count, weights are malformed, options are out of domain (including a
-/// duration whose cycle count would overflow), a residency window is
-/// inverted, or arrivals/departures are used with the lockstep oracle.
+/// duration whose cycle count would overflow), or a residency window is
+/// inverted or starts after the run ends.
 ///
 /// # Examples
 ///
@@ -455,12 +409,7 @@ pub fn simulate(
     opts: SimOptions,
 ) -> Result<SimResult, SimError> {
     let mut world = build_world(machine, placement, &opts)?;
-    match opts.engine {
-        EngineKind::Lockstep => run_lockstep(&mut world, machine),
-        EngineKind::Events => {
-            crate::events::run(&mut world, machine)?;
-        }
-    }
+    crate::events::run(&mut world, machine)?;
     Ok(finish(world, machine))
 }
 
@@ -539,13 +488,6 @@ fn build_world(
             let arrival = spec.arrival_cycles.unwrap_or(0);
             let departure = spec.departure_cycles.unwrap_or(Cycles::MAX);
             if spec.arrival_cycles.is_some() || spec.departure_cycles.is_some() {
-                if opts.engine == EngineKind::Lockstep {
-                    return Err(SimError::InvalidOptions(format!(
-                        "process '{}' has a residency window; the lockstep oracle does not \
-                         support arrival/departure (use the event engine)",
-                        spec.name
-                    )));
-                }
                 if departure <= arrival {
                     return Err(SimError::InvalidPlacement(format!(
                         "process '{}' on core {c} departs at {departure} cycles, at or \
@@ -722,8 +664,8 @@ impl SimWorld {
 }
 
 /// Records one occupancy snapshot at global time `at` for every resident
-/// process (both kernels fire these on the same causally consistent
-/// frontier: no step starting at or after `at` has executed yet).
+/// process. The kernel fires it on a causally consistent frontier: no
+/// step starting at or after `at` has executed yet.
 pub(crate) fn snapshot_occupancy(world: &mut SimWorld, at: Cycles) {
     if at < world.warmup_cycles {
         return;
@@ -739,8 +681,8 @@ pub(crate) fn snapshot_occupancy(world: &mut SimWorld, at: Cycles) {
 
 /// Executes one step of process `proc` on `core`: generates the step,
 /// performs the L2 access, charges cycles, and attributes HPC/process
-/// counters at completion time. Shared verbatim by both kernels — this is
-/// the single definition of what a "step" does.
+/// counters at completion time. This is the single definition of what a
+/// "step" does.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn step_core(
     machine: &MachineConfig,
@@ -818,55 +760,8 @@ pub(crate) fn step_core(
     }
 }
 
-/// The lockstep oracle: always step the active core with the smallest
-/// clock (ties broken by lowest core index via the strict `<` scan).
-fn run_lockstep(world: &mut SimWorld, machine: &MachineConfig) {
-    let mut next_snapshot: Cycles = world.period_cycles;
-    loop {
-        let mut min_core: Option<usize> = None;
-        let mut min_clock = Cycles::MAX;
-        for (i, core) in world.cores.iter().enumerate() {
-            if !core.done && core.clock < min_clock {
-                min_clock = core.clock;
-                min_core = Some(i);
-            }
-        }
-        let Some(ci) = min_core else { break };
-
-        // Occupancy snapshots keyed to the global frontier (the minimum
-        // active clock), so every snapshot reflects a causally consistent
-        // cache state.
-        while min_clock >= next_snapshot {
-            snapshot_occupancy(world, next_snapshot);
-            next_snapshot += world.period_cycles;
-        }
-
-        let core = &mut world.cores[ci];
-        // Context switch check at step granularity: boundaries crossed
-        // since the last step on this core all expire now.
-        if let Some(sched) = &mut core.sched {
-            world.context_switches += sched.maybe_switch(core.clock);
-        }
-        let pi = core.run[core.sched.as_ref().map_or(0, |s| s.current())];
-        let die = core.die;
-        step_core(
-            machine,
-            core,
-            &mut world.procs[pi],
-            &mut world.l2s[die],
-            &mut world.prefetchers[die],
-            world.warmup_cycles,
-            world.end_cycles,
-            world.period_cycles,
-            world.num_buckets,
-        );
-    }
-    world.slice_expiries =
-        world.cores.iter().filter_map(|c| c.sched.as_ref()).map(|s| s.expiries()).sum();
-}
-
 /// Assembles per-core rates, power samples, and process statistics from a
-/// finished world. Engine-independent.
+/// finished world.
 fn finish(world: SimWorld, machine: &MachineConfig) -> SimResult {
     let num_buckets = world.num_buckets;
     let period_s = world.period_cycles as f64 / machine.freq_hz;
@@ -920,11 +815,76 @@ fn finish(world: SimWorld, machine: &MachineConfig) -> SimResult {
     }
 }
 
-/// Test-only seam letting `events::tests` drive the kernel with a
-/// hand-seeded event order around a normally-built world.
+/// Test-only seams: `events::tests` drives the kernel with a hand-seeded
+/// event order around a normally-built world, and both test modules
+/// compare the kernel against the min-clock scan below.
 #[cfg(test)]
 pub(crate) mod testutil {
     use super::*;
+
+    /// Runs one simulation on the reference scan: a direct transcription
+    /// of the min-clock rule in the module docs, with no event queue and
+    /// no per-die split. Churn-free placements only.
+    pub(crate) fn simulate_lockstep(
+        machine: &MachineConfig,
+        placement: Placement,
+        opts: &SimOptions,
+    ) -> SimResult {
+        let mut world = build_world_for_tests(machine, placement, opts);
+        assert!(
+            world.procs.iter().all(|p| p.arrival == 0 && p.departure == Cycles::MAX),
+            "the lockstep scan has no arrivals or departures"
+        );
+        run_lockstep(&mut world, machine);
+        finish(world, machine)
+    }
+
+    /// The lockstep scan: always step the live core with the smallest
+    /// clock (ties broken by lowest core index via the strict `<` scan).
+    fn run_lockstep(world: &mut SimWorld, machine: &MachineConfig) {
+        let mut next_snapshot: Cycles = world.period_cycles;
+        loop {
+            let mut min_core: Option<usize> = None;
+            let mut min_clock = Cycles::MAX;
+            for (i, core) in world.cores.iter().enumerate() {
+                if !core.done && core.clock < min_clock {
+                    min_clock = core.clock;
+                    min_core = Some(i);
+                }
+            }
+            let Some(ci) = min_core else { break };
+
+            // Occupancy snapshots keyed to the global frontier (the minimum
+            // active clock), so every snapshot reflects a causally consistent
+            // cache state.
+            while min_clock >= next_snapshot {
+                snapshot_occupancy(world, next_snapshot);
+                next_snapshot += world.period_cycles;
+            }
+
+            let core = &mut world.cores[ci];
+            // Context switch check at step granularity: boundaries crossed
+            // since the last step on this core all expire now.
+            if let Some(sched) = &mut core.sched {
+                world.context_switches += sched.maybe_switch(core.clock);
+            }
+            let pi = core.run[core.sched.as_ref().map_or(0, |s| s.current())];
+            let die = core.die;
+            step_core(
+                machine,
+                core,
+                &mut world.procs[pi],
+                &mut world.l2s[die],
+                &mut world.prefetchers[die],
+                world.warmup_cycles,
+                world.end_cycles,
+                world.period_cycles,
+                world.num_buckets,
+            );
+        }
+        world.slice_expiries =
+            world.cores.iter().filter_map(|c| c.sched.as_ref()).map(|s| s.expiries()).sum();
+    }
 
     pub(crate) fn build_world_for_tests(
         machine: &MachineConfig,
@@ -962,11 +922,6 @@ mod tests {
 
     fn quick_opts() -> SimOptions {
         SimOptions { duration_s: 0.3, warmup_s: 0.1, seed: 7, ..Default::default() }
-    }
-
-    /// The same options on the lockstep oracle.
-    fn lockstep(opts: SimOptions) -> SimOptions {
-        SimOptions { engine: EngineKind::Lockstep, ..opts }
     }
 
     #[test]
@@ -1010,24 +965,6 @@ mod tests {
                 "duration {dur}"
             );
         }
-    }
-
-    #[test]
-    fn engine_kind_names_round_trip() {
-        for kind in [EngineKind::Events, EngineKind::Lockstep] {
-            assert_eq!(EngineKind::from_name(kind.name()), Ok(kind));
-        }
-        assert!(EngineKind::from_name("steam").is_err());
-        assert_eq!(EngineKind::default(), EngineKind::Events);
-    }
-
-    #[test]
-    fn lockstep_rejects_residency_windows() {
-        let m = small_machine();
-        let mut pl = Placement::idle(2);
-        pl.assign(0, cyclic(0, 16, 20).with_arrival(1000)).unwrap();
-        let err = simulate(&m, pl, lockstep(quick_opts())).unwrap_err();
-        assert!(matches!(err, SimError::InvalidOptions(ref msg) if msg.contains("lockstep")));
     }
 
     #[test]
@@ -1184,8 +1121,8 @@ mod tests {
 
     #[test]
     fn engines_agree_bit_exactly_without_churn() {
-        // In-module parity smoke; the full seeded corpus lives in
-        // tests/parallel_determinism.rs.
+        // The kernel against the reference scan; the seeded corpus in
+        // tests/parallel_determinism.rs is pinned by golden digests.
         let m = small_machine();
         let build = || {
             let mut pl = Placement::idle(2);
@@ -1195,7 +1132,7 @@ mod tests {
             pl
         };
         let ev = simulate(&m, build(), quick_opts()).unwrap();
-        let ls = simulate(&m, build(), lockstep(quick_opts())).unwrap();
+        let ls = testutil::simulate_lockstep(&m, build(), &quick_opts());
         assert_eq!(ev, ls);
         assert!(ev.context_switches > 0);
     }

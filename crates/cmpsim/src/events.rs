@@ -1,9 +1,8 @@
 //! The discrete-event simulation kernel.
 //!
-//! Everything the lockstep oracle did inline — stepping the minimum-clock
-//! core, expiring scheduler slices, taking HPC occupancy snapshots — plus
-//! the one thing it could not express, mid-run process arrival and
-//! departure, becomes a first-class [`QueuedEvent`] on a
+//! Every step of the min-clock schedule (see `crate::engine`), every
+//! scheduler slice expiry, every occupancy snapshot, and every mid-run
+//! process arrival and departure is a [`QueuedEvent`] on a
 //! `BinaryHeap<Reverse<QueuedEvent>>`.
 //!
 //! # Ordering contract
@@ -16,14 +15,14 @@
 //!    else at `t` observes the core;
 //! 2. **Arrival** — a newcomer at `t` joins the rotation before slices
 //!    expire or steps start at `t`;
-//! 3. **Snapshot** — occupancy snapshots fire before any step *starting*
-//!    at `t`, exactly like the lockstep engine's
-//!    `while min_clock >= next_snapshot` check runs before the step;
+//! 3. **Snapshot** — a grid point at `t` fires before any step *starting*
+//!    at `t`, since a snapshot fires once the smallest live clock reaches
+//!    it;
 //! 4. **SliceExpiry** — a boundary at `t` rotates the scheduler before a
-//!    step starting at `t` picks its process, matching the lockstep
-//!    engine's inclusive `now >= slice_end` test at step start;
-//! 5. **StepReady** — ties between cores break by lowest core index,
-//!    reproducing the lockstep scan's strict `<` minimum.
+//!    step starting at `t` picks its process (the boundary test at step
+//!    start is inclusive, `now >= slice_end`);
+//! 5. **StepReady** — ties between cores break by lowest core index, the
+//!    strict `<` of the min-clock rule.
 //!
 //! Each identity schedules at most one live event of a kind at a time, so
 //! heap insertion order cannot affect the pop order of distinct events and
@@ -36,8 +35,8 @@
 //! right after the event that retires its last live core, either the step
 //! that carries the core's clock past the end of the run or the departure
 //! that empties it for good. Snapshots and expiries queued past that event
-//! never fire, matching the lockstep loop's exit before its trailing
-//! checks. The loop reports where it stopped as a [`LoopEnd`].
+//! never fire: once no core is live, no step is left for them to precede.
+//! The loop reports where it stopped as a [`LoopEnd`].
 //!
 //! # Per-die decomposition
 //!
@@ -56,15 +55,12 @@
 //!   whose key lies between its own [`LoopEnd`] and the latest one across
 //!   dies, taken on that frozen cache afterwards.
 //!
-//! # Oracle parity
+//! # Pinned bits
 //!
-//! With no arrivals/departures this kernel reproduces the lockstep engine
-//! bit-exactly: on every die both execute the identical step sequence
-//! (steps fire in start-time order against the die's L2), charge the same
-//! cycles from the same per-process RNG streams, rotate schedulers at the
-//! same boundaries, and snapshot occupancy on the same frontier. The
-//! seeded parity corpus in `tests/parallel_determinism.rs` asserts
-//! `SimResult` equality outright.
+//! Golden digests of a seeded placement corpus in
+//! `tests/parallel_determinism.rs` pin every `SimResult` field at every
+//! worker count, and the unit tests compare churn-free runs against a
+//! test-only transcription of the min-clock rule as a plain scan.
 
 use crate::engine::{snapshot_occupancy, step_core, SimError, SimWorld};
 use crate::machine::MachineConfig;
@@ -374,8 +370,8 @@ fn run_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::testutil::{build_world_for_tests, finish_for_tests};
-    use crate::engine::{simulate, EngineKind, Placement, SimOptions, SimResult};
+    use crate::engine::testutil::{build_world_for_tests, finish_for_tests, simulate_lockstep};
+    use crate::engine::{simulate, Placement, SimOptions, SimResult};
     use crate::machine::MachineConfig;
     use crate::process::testutil::CyclicGenerator;
     use crate::process::ProcessSpec;
@@ -505,8 +501,7 @@ mod tests {
         let (per_die, whole, trailing) = per_die_and_whole(&m, placement, &o);
         assert_eq!(trailing, 4);
         assert_eq!(per_die, whole);
-        let lockstep = simulate(&m, placement(), SimOptions { engine: EngineKind::Lockstep, ..o });
-        assert_eq!(per_die, lockstep.unwrap());
+        assert_eq!(per_die, simulate_lockstep(&m, placement(), &o));
         assert!(per_die.context_switches > 0);
     }
 
@@ -534,8 +529,8 @@ mod tests {
 
     #[test]
     fn two_die_churn_matches_the_whole_machine_loop() {
-        // The lockstep oracle rejects churn, so the whole-machine loop is
-        // the reference here.
+        // The lockstep scan has no churn, so the whole-machine loop is the
+        // reference here.
         let (per_die, whole, trailing) =
             per_die_and_whole(&server(), server_churn_placement, &opts());
         assert_eq!(per_die, whole);

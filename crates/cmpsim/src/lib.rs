@@ -15,9 +15,9 @@
 //! - [`machine`]: machine presets mirroring the paper's three testbeds.
 //! - [`process`]: the [`process::AccessGenerator`] trait the engine runs.
 //! - [`sched`]: per-core round-robin time slicing (paper §4.2).
-//! - [`engine`]: simulation setup, engine selection, and results.
-//! - `events`: the discrete-event kernel (the default
-//!   [`engine::EngineKind`]), with first-class process arrival/departure.
+//! - [`engine`]: simulation setup, the min-clock schedule, and results.
+//! - `events`: the discrete-event kernel that runs every simulation, with
+//!   first-class process arrival/departure.
 //! - [`hpc`]: performance-counter emulation (the PAPI stand-in).
 //! - [`power`]: ground-truth power synthesis and the measurement chain.
 //! - [`prefetch`]: the optional next-line prefetcher (paper §3.1 study).

@@ -21,7 +21,7 @@ use crate::sharing::combination_average_cancellable;
 use crate::ModelError;
 use cmpsim::hpc::EventRates;
 use cmpsim::machine::MachineConfig;
-use cmpsim::types::{CoreId, DieId};
+use cmpsim::types::DieId;
 use mathkit::sync::CancelToken;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
@@ -400,19 +400,15 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
             }
             return Ok(total);
         };
-        // Look every die up first, then walk only the misses, each
-        // contended co-run solved in order through the equilibrium memo.
+        // One die at a time, in die order: look it up, and on a miss walk
+        // it (each contended co-run solved in order through the
+        // equilibrium memo) and insert it, so a later die with the same
+        // queues hits.
         let memo = self.die_memo_enabled();
-        let lookups: Vec<(DieId, Option<[u64; 2]>, Option<f64>)> = dies
-            .map(|die| {
-                let key = if memo { self.die_key(profiles, assignment, die) } else { None };
-                let hit = key.and_then(|k| self.eq_cache.get_die(&k));
-                (die, key, hit)
-            })
-            .collect();
         let mut total = 0.0;
-        for (die, key, hit) in lookups {
-            total += match hit {
+        for die in dies {
+            let key = if memo { self.die_key(profiles, assignment, die) } else { None };
+            total += match key.and_then(|k| self.eq_cache.get_die(&k)) {
                 Some(watts) => {
                     // The walk a hit stands for is a cancellation point.
                     cancel.check()?;
@@ -1181,7 +1177,6 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
                 }
             }
         }
-        let _ = CoreId(0);
         Ok(())
     }
 }
@@ -1603,12 +1598,12 @@ mod tests {
             let st = cm.equilibrium_cache_stats();
             assert!(st.die_entries <= st.capacity, "iteration {i}: {st:?}");
         }
-        // Both dies hold the same queues, so they share one entry; every
-        // die is looked up before any is walked, so the first estimate of
-        // each pair misses twice and the second hits twice.
+        // Both dies hold the same queues, so they share one entry: the
+        // first estimate of each pair misses on die 0 and hits on die 1,
+        // and the second hits twice.
         let st = cm.equilibrium_cache_stats();
-        let n = 8 * cap as u64;
-        assert_eq!((st.die_hits, st.die_misses), (n, n), "{st:?}");
+        let cap = cap as u64;
+        assert_eq!((st.die_hits, st.die_misses), (12 * cap, 4 * cap), "{st:?}");
         cm.clear_equilibrium_cache();
         let st = cm.equilibrium_cache_stats();
         assert_eq!((st.entries, st.die_entries), (0, 0), "clear drops both memos");

@@ -1,10 +1,9 @@
 //! Churn study: process arrival/departure vs model re-equilibration.
 //!
-//! The scenario the lockstep engine could not express: a die where the
-//! resident process set *changes mid-run*. A long-lived process holds
-//! core 0 for the whole run; a second process arrives on core 1 a third
-//! of the way in and departs at two thirds, splitting the run into three
-//! phases — solo, co-run, solo again.
+//! A die whose resident process set *changes mid-run*. A long-lived
+//! process holds core 0 for the whole run; a second process arrives on
+//! core 1 a third of the way in and departs at two thirds, splitting the
+//! run into three phases — solo, co-run, solo again.
 //!
 //! The paper's equilibrium model is stateless in time: it predicts the
 //! steady state of whatever process set is resident. Re-equilibration is
@@ -14,7 +13,7 @@
 //! are gated against, with the tolerances below declared up front.
 
 use crate::harness::RunScale;
-use cmpsim::engine::{simulate, EngineKind, Placement, SimOptions, SimResult};
+use cmpsim::engine::{simulate, Placement, SimOptions, SimResult};
 use cmpsim::machine::MachineConfig;
 use cmpsim::process::ProcessSpec;
 use mpmc_model::feature::FeatureVector;
@@ -127,9 +126,6 @@ pub fn run_study(scale: &RunScale, tol: ChurnTolerances) -> Result<ChurnReport, 
             duration_s,
             warmup_s: 0.0, // phases are trimmed individually below
             seed: scale.seed ^ 0xC4,
-            // Residency windows exist only on the event kernel; the
-            // lockstep oracle rejects them by design.
-            engine: EngineKind::Events,
             ..SimOptions::default()
         },
     )?;

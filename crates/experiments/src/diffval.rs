@@ -280,7 +280,6 @@ pub fn tiny_scale() -> RunScale {
         share_warmup_s: 1.0,
         seed: 0xD1FF,
         workers: 0,
-        engine: cmpsim::engine::EngineKind::default(),
     }
 }
 

@@ -2,7 +2,7 @@
 //! random assignment generation, co-run measurement, power-model training,
 //! and report formatting.
 
-use cmpsim::engine::{simulate, EngineKind, Placement, SimOptions, SimResult};
+use cmpsim::engine::{simulate, Placement, SimOptions, SimResult};
 use cmpsim::hpc::EventRates;
 use cmpsim::machine::MachineConfig;
 use cmpsim::process::ProcessSpec;
@@ -36,10 +36,6 @@ pub struct RunScale {
     /// auto). Seeds depend only on each run's identity, never on
     /// execution order, so results are identical for any worker count.
     pub workers: usize,
-    /// Simulation kernel for every run this scale drives. The event
-    /// kernel and the lockstep oracle are bit-identical absent
-    /// arrivals/departures, so flipping this must not move results.
-    pub engine: EngineKind,
 }
 
 impl RunScale {
@@ -58,7 +54,6 @@ impl RunScale {
             share_warmup_s: 1.0,
             seed: 0xDAC2_0100,
             workers: 0,
-            engine: EngineKind::default(),
         }
     }
 
@@ -73,12 +68,12 @@ impl RunScale {
             share_warmup_s: 0.5,
             seed: 0xDAC2_0100,
             workers: 0,
-            engine: EngineKind::default(),
         }
     }
 
-    /// Parses `--fast`, `--workers N`, and `--engine {events|lockstep}`
-    /// from the command line of an experiment binary.
+    /// Parses `--fast` and `--workers N` from the command line of an
+    /// experiment binary. Any other `--` argument is a usage error (exit
+    /// code 2, like the CLI), never silently ignored.
     pub fn from_args() -> Self {
         let mut scale = if std::env::args().any(|a| a == "--fast") {
             RunScale::fast()
@@ -101,15 +96,9 @@ impl RunScale {
                         std::process::exit(2);
                     }
                 }
-            } else if a == "--engine" {
-                let raw = args.next().unwrap_or_default();
-                match EngineKind::from_name(&raw) {
-                    Ok(kind) => scale.engine = kind,
-                    Err(msg) => {
-                        eprintln!("{msg}");
-                        std::process::exit(2);
-                    }
-                }
+            } else if a.starts_with("--") && a != "--fast" {
+                eprintln!("unknown option '{a}' (expected --fast or --workers N)");
+                std::process::exit(2);
             }
         }
         scale
@@ -133,7 +122,6 @@ impl RunScale {
             duration_s: self.run_duration_s,
             warmup_s: self.run_warmup_s,
             seed: self.seed.wrapping_add(salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-            engine: self.engine,
             ..Default::default()
         }
     }

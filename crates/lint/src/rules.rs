@@ -486,11 +486,10 @@ pub fn bounded_io(toks: &[Tok], out: &mut Vec<RawFinding>) {
 /// `unsafe_audit`: no `unsafe` anywhere, and every crate root must carry
 /// `#![forbid(unsafe_code)]` (`deny` is accepted only under a waiver).
 pub fn unsafe_audit(is_crate_root: bool, toks: &[Tok], out: &mut Vec<RawFinding>) {
-    for (i, t) in toks.iter().enumerate() {
+    for t in toks {
         if t.is_ident("unsafe") {
             // `unsafe_code` inside the forbid attribute is one ident and
             // never matches `unsafe` exactly.
-            let _ = i;
             out.push(raw(
                 "unsafe_audit",
                 t,

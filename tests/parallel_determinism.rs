@@ -459,13 +459,13 @@ fn optimizer_is_worker_count_and_order_invariant_and_exact() {
 }
 
 // ---------------------------------------------------------------------
-// Event-kernel parity and determinism battery (ISSUE 9).
+// Event-kernel golden digests and determinism battery.
 // ---------------------------------------------------------------------
 
 mod event_kernel {
     use super::WORKER_COUNTS;
     use mpmc::math::parallel::par_map;
-    use mpmc::sim::engine::{simulate, EngineKind, Placement, SimOptions, SimResult};
+    use mpmc::sim::engine::{simulate, Placement, SimOptions, SimResult};
     use mpmc::sim::machine::MachineConfig;
     use mpmc::sim::process::ProcessSpec;
     use mpmc::workloads::spec::SpecWorkload;
@@ -553,29 +553,30 @@ mod event_kernel {
         corpus
     }
 
-    fn run(entry: usize, engine: EngineKind) -> SimResult {
+    fn run(entry: usize) -> SimResult {
         let (m, pl, opts) = corpus().remove(entry);
-        simulate(&m, pl, SimOptions { engine, ..opts }).expect("corpus entry must simulate")
+        simulate(&m, pl, opts).expect("corpus entry must simulate")
     }
 
-    /// Tentpole acceptance: without arrivals/departures the event kernel
-    /// reproduces the lockstep oracle bit-exactly — processes, HPC
-    /// buckets, power samples, switch counts — on every corpus entry,
-    /// and the event-kernel answers are worker-count invariant when the
-    /// corpus is fanned out through the parallel map.
+    /// Every corpus entry keeps its committed digest — processes, HPC
+    /// buckets, power samples, switch counts — when the corpus is fanned
+    /// out through the parallel map at every worker count.
     #[test]
-    fn lockstep_parity_corpus_is_bit_exact_for_all_worker_counts() {
+    fn corpus_digests_hold_at_every_worker_count() {
         let n = corpus().len();
         assert!(n >= 6, "corpus must stay at >= 6 seeded placements");
-        let oracle: Vec<SimResult> = (0..n).map(|i| run(i, EngineKind::Lockstep)).collect();
-        // Sanity: the corpus actually exercises scheduling.
-        assert!(oracle.iter().any(|r| r.context_switches > 0));
-        assert!(oracle.iter().all(|r| r.slice_expiries > 0));
+        let golden = golden_digests();
         for workers in WORKER_COUNTS {
-            let events: Vec<SimResult> =
-                par_map((0..n).collect(), workers, |_, i| run(i, EngineKind::Events));
-            for (i, (ev, ls)) in events.iter().zip(&oracle).enumerate() {
-                assert_eq!(ev, ls, "corpus entry {i} diverged at workers={workers}");
+            let runs: Vec<SimResult> = par_map((0..n).collect(), workers, |_, i| run(i));
+            // Sanity: the corpus actually exercises scheduling.
+            assert!(runs.iter().any(|r| r.context_switches > 0));
+            assert!(runs.iter().all(|r| r.slice_expiries > 0));
+            for (i, r) in runs.iter().enumerate() {
+                assert_eq!(
+                    result_digest(r),
+                    golden[i],
+                    "corpus entry {i} diverged at workers={workers}"
+                );
             }
         }
     }
@@ -741,41 +742,29 @@ mod event_kernel {
         h.0
     }
 
-    /// The committed digests pin the simulator's bits without the
-    /// lockstep oracle: one per parity-corpus entry, then the server
-    /// churn case. An intended change of the simulator's output replaces
-    /// the file with the digests this test prints.
-    #[test]
-    fn golden_digests_pin_the_parity_corpus_and_server_churn() {
-        let golden: Vec<u64> = include_str!("golden/sim_parity_corpus.txt")
+    /// The committed digests: one per corpus entry, then the server churn
+    /// case.
+    fn golden_digests() -> Vec<u64> {
+        include_str!("golden/sim_parity_corpus.txt")
             .lines()
             .filter(|l| !l.starts_with('#'))
             .filter_map(|l| l.split_whitespace().next())
             .map(|hex| u64::from_str_radix(hex, 16).expect("golden digests are hex"))
-            .collect();
-        let mut got: Vec<u64> =
-            (0..corpus().len()).map(|i| result_digest(&run(i, EngineKind::Events))).collect();
+            .collect()
+    }
+
+    /// The committed digests pin the simulator's bits. An intended change
+    /// of the simulator's output replaces the file with the digests this
+    /// test prints.
+    #[test]
+    fn golden_digests_pin_the_parity_corpus_and_server_churn() {
+        let golden = golden_digests();
+        let mut got: Vec<u64> = (0..corpus().len()).map(|i| result_digest(&run(i))).collect();
         let m = sliced(MachineConfig::four_core_server());
         let churn = simulate(&m, server_churn_placement(&m, &[0, 1, 2, 3]), server_churn_opts());
         got.push(result_digest(&churn.unwrap()));
         let printed: Vec<String> = got.iter().map(|d| format!("{d:016x}")).collect();
         assert_eq!(got, golden, "simulator bits changed; digests now:\n{}", printed.join("\n"));
-    }
-
-    /// The lockstep oracle stays compiled and refuses what it cannot
-    /// express, rather than silently ignoring residency windows.
-    #[test]
-    fn lockstep_oracle_rejects_churn_placements() {
-        let m = sliced(MachineConfig::two_core_workstation());
-        let opts = SimOptions {
-            duration_s: 0.08,
-            warmup_s: 0.02,
-            seed: 909,
-            engine: EngineKind::Lockstep,
-            ..SimOptions::default()
-        };
-        let err = simulate(&m, churn_placement(&m, &[0, 1]), opts).unwrap_err();
-        assert!(err.to_string().contains("lockstep"), "{err}");
     }
 }
 
