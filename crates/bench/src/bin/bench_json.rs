@@ -65,16 +65,8 @@ fn parse_args() -> Config {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--tiny" => cfg.tiny = true,
-            "--out" => {
-                if let Some(d) = args.next() {
-                    cfg.out_dir = d;
-                }
-            }
-            "--workers" => {
-                if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                    cfg.workers = n;
-                }
-            }
+            "--out" => cfg.out_dir = value(&mut args, "--out", "a directory"),
+            "--workers" => cfg.workers = value(&mut args, "--workers", "an integer"),
             other => {
                 eprintln!("bench_json: unknown argument '{other}'");
                 std::process::exit(2);
@@ -82,6 +74,23 @@ fn parse_args() -> Config {
         }
     }
     cfg
+}
+
+/// The value after option `name`, or exit 2 naming the option when it
+/// is missing, is the next option or does not parse: a silent default
+/// here would, for `--out`, write the baselines over the committed ones.
+fn value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    name: &str,
+    what: &str,
+) -> T {
+    match args.next().filter(|v| !v.starts_with("--")).and_then(|v| v.parse().ok()) {
+        Some(v) => v,
+        None => {
+            eprintln!("bench_json: {name} needs {what}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Times `op` `reps` times and returns min/median/p90 wall-clock seconds

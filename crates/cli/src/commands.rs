@@ -72,7 +72,7 @@ commands:
         [--max-inflight N] [--max-queued N] [--queue-wait-ms MS]
         [--default-deadline-ms MS] [--breaker-window N]
         [--breaker-threshold N] [--breaker-cooldown N]
-        [--singleflight-wait-ms MS] [--warm-start]
+        [--singleflight-wait-ms MS]
                                         long-running prediction daemon:
                                         newline-delimited JSON requests
                                         (register/estimate/assign/stats)
@@ -741,7 +741,6 @@ pub fn serve(args: &ParsedArgs) -> Result<String, CliError> {
         breaker_cooldown: args.opt_parse("breaker-cooldown", defaults.breaker_cooldown)?,
         singleflight_wait_ms: args
             .opt_parse("singleflight-wait-ms", defaults.singleflight_wait_ms)?,
-        warm_start: args.flag("warm-start") || defaults.warm_start,
     };
     if opts.max_connections == 0 || opts.max_inflight == 0 {
         return Err(CliError::usage(
@@ -814,8 +813,7 @@ fn lint_cmd(args: &ParsedArgs) -> Result<String, CliError> {
 type Command = fn(&ParsedArgs) -> Result<String, CliError>;
 
 /// The boolean switches; every other `--name` takes a value.
-const FLAGS: &[&str] =
-    &["fast", "strict", "tiny", "stdio", "warm-start", "optimize", "brute", "json"];
+const FLAGS: &[&str] = &["fast", "strict", "tiny", "stdio", "optimize", "brute", "json"];
 
 /// Every subcommand with the options and flags it reads, separated by
 /// spaces. [`dispatch`] refuses any other `--name`, so a misspelt or
@@ -840,7 +838,7 @@ const COMMANDS: &[(&str, &str, Command)] = &[
         "serve",
         "power stdio listen machine sets workers cache-capacity max-line-bytes max-connections \
          max-inflight max-queued queue-wait-ms default-deadline-ms breaker-window \
-         breaker-threshold breaker-cooldown singleflight-wait-ms warm-start",
+         breaker-threshold breaker-cooldown singleflight-wait-ms",
         serve,
     ),
     ("lint", "format config", lint_cmd),
@@ -1002,6 +1000,13 @@ mod tests {
             run(&["validate", "--tiny", "--engine", "nope"]).unwrap_err().code,
             exit_code::USAGE
         );
+        // Warm start is retired: its old switch is refused by name in
+        // either position, before `serve` looks for its power model.
+        for argv in [["serve", "--stdio", "--warm-start"], ["serve", "--warm-start", "--stdio"]] {
+            let err = run(&argv).unwrap_err();
+            assert_eq!(err.code, exit_code::USAGE, "{argv:?}");
+            assert!(err.message.contains("--warm-start"), "{}", err.message);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! processor power of the assignment — using profiling data only.
 
 use crate::eqcache::{EqCacheStats, EquilibriumCache};
-use crate::equilibrium::{self, Equilibrium, SolveDiagnostics};
+use crate::equilibrium::{self, Equilibrium};
 use crate::feature::FeatureVector;
 use crate::perf::PerformanceModel;
 use crate::power::CorePowerModel;
@@ -153,10 +153,6 @@ pub enum DegradedSource {
     /// Every contended combination was answered from a (possibly stale)
     /// exact cache entry — numerically identical to a fresh solve.
     ExactCache,
-    /// At least one combination reused a cached *neighbor* co-run's
-    /// cache split (same co-runner count, all but one fingerprint
-    /// shared), re-rated against the requesting co-run's own curves.
-    StaleNeighbor,
     /// At least one combination fell through to the proportional-to-API
     /// closed-form split ([`equilibrium::solve_proportional`]).
     ProportionalSplit,
@@ -179,7 +175,6 @@ impl DegradedSource {
     pub fn name(self) -> &'static str {
         match self {
             DegradedSource::ExactCache => "exact_cache",
-            DegradedSource::StaleNeighbor => "stale_neighbor",
             DegradedSource::ProportionalSplit => "proportional_split",
         }
     }
@@ -229,8 +224,7 @@ enum SolveMode<'c> {
 /// estimate is bit-identical to a fresh one. A placement search
 /// scores thousands of placements over far fewer distinct dies; each
 /// distinct die is walked once. Only exact estimates use the die memo:
-/// degraded estimates and warm-started models (whose answers depend on
-/// history) bypass it, and errors are never stored.
+/// degraded estimates bypass it, and errors are never stored.
 ///
 /// Both memos are bounded (sharded LRU, default
 /// [`eqcache::DEFAULT_CAPACITY`](crate::eqcache::DEFAULT_CAPACITY)
@@ -242,7 +236,6 @@ pub struct CombinedModel<'a, M: CorePowerModel> {
     power: &'a M,
     perf: PerformanceModel,
     eq_cache: EquilibriumCache,
-    warm_start: bool,
 }
 
 impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
@@ -254,25 +247,7 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
             power,
             perf: PerformanceModel::new(machine.l2_assoc()),
             eq_cache: EquilibriumCache::new(crate::eqcache::DEFAULT_CAPACITY),
-            warm_start: false,
         }
-    }
-
-    /// Enables warm-started Newton on equilibrium cache misses: when a
-    /// same-cardinality neighbor co-run is cached, its split seeds a
-    /// damped Newton solve instead of the cold solver, falling back to
-    /// the configured cold solver if the warm solve does not converge
-    /// (counted in [`EqCacheStats::warm_fallbacks`]).
-    ///
-    /// Off by default because it is a *different deterministic policy*,
-    /// not a bit-identical speedup: a warm-started solve converges to the
-    /// same fixed point as the cold Newton solve but along a different
-    /// iterate path, so last-bit results can differ from the cold-solver
-    /// baseline and depend on which co-runs were estimated previously.
-    #[must_use]
-    pub fn with_warm_start(mut self, warm: bool) -> Self {
-        self.warm_start = warm;
-        self
     }
 
     /// Replaces the memo caches (equilibria and die powers) with ones
@@ -363,11 +338,10 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
     /// solvers**, for a serving layer whose circuit breaker has tripped.
     /// Each contended combination is answered from the best available
     /// no-solve source — a (possibly stale) exact memo-cache entry, else
-    /// the nearest cached neighbor co-run's split re-rated against the
-    /// requesting processes' own curves, else the proportional-to-API
-    /// closed form — and the *worst* tier any combination needed is
-    /// reported alongside the estimate. Degraded lookups never promote,
-    /// insert, or count toward cache/fallback statistics.
+    /// the proportional-to-API closed form — and the *worst* tier any
+    /// combination needed is reported alongside the estimate. A miss is
+    /// one shard lookup, never a cache scan. Degraded lookups never
+    /// promote, insert, or count toward cache/fallback statistics.
     ///
     /// # Errors
     ///
@@ -404,7 +378,7 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         // it (each contended co-run solved in order through the
         // equilibrium memo) and insert it, so a later die with the same
         // queues hits.
-        let memo = self.die_memo_enabled();
+        let memo = self.eq_cache.capacity() > 0;
         let mut total = 0.0;
         for die in dies {
             let key = if memo { self.die_key(profiles, assignment, die) } else { None };
@@ -424,13 +398,6 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
             };
         }
         Ok(total)
-    }
-
-    /// Whether exact estimates read and fill the die memo: not with the
-    /// memo disabled, and not under warm start, whose answers depend on
-    /// which co-runs were solved before.
-    fn die_memo_enabled(&self) -> bool {
-        self.eq_cache.capacity() > 0 && !self.warm_start
     }
 
     /// The die memo's key for `die` under `assignment`. The list it
@@ -472,7 +439,7 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         profiles: &[ProcessProfile],
         assignments: impl IntoIterator<Item = &'x Assignment>,
     ) -> Result<Vec<Vec<usize>>, ModelError> {
-        let memo = self.die_memo_enabled();
+        let memo = self.eq_cache.capacity() > 0;
         let mut seen: BTreeSet<[u64; 2]> = BTreeSet::new();
         let mut sets = Vec::new();
         for asg in assignments {
@@ -521,11 +488,7 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
     /// each miss in order through [`CombinedModel::solve_cached`].
     ///
     /// Only engages when at least two distinct sets are missing: a single
-    /// missing set gains nothing from batching. With warm-start enabled
-    /// the missing sets are solved strictly sequentially through
-    /// [`CombinedModel::solve_cached`] in first-encounter order — warm
-    /// seeds depend on what was inserted just before, so batching them
-    /// would change the (deterministic) seeding sequence.
+    /// missing set gains nothing from batching.
     ///
     /// Per-set solve errors are *not* surfaced here: a failed set is left
     /// uncached and the main walk re-encounters the same deterministic
@@ -553,20 +516,6 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
             missing.push(idxs);
         }
         if missing.len() < 2 {
-            return Ok(());
-        }
-
-        if self.warm_start {
-            for idxs in &missing {
-                let running: Vec<(usize, &ProcessProfile)> =
-                    idxs.iter().map(|&p| (0, &profiles[p])).collect();
-                // Non-cancellation errors re-surface in order on the main walk.
-                if let Err(ModelError::Math(mathkit::MathError::Cancelled)) =
-                    self.solve_cached(&running, cancel)
-                {
-                    return Err(ModelError::Math(mathkit::MathError::Cancelled));
-                }
-            }
             return Ok(());
         }
 
@@ -978,11 +927,6 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
             return Ok(Self::permute_back(&canon, &order));
         }
         let features: Vec<&FeatureVector> = running.iter().map(|(_, p)| &p.feature).collect();
-        if let Some(warm) = self.solve_warm(&features, &order, &key, cancel) {
-            let eq = warm?;
-            self.memoize(&order, key, &eq);
-            return Ok(eq);
-        }
         let eq = self.perf.solve_cancellable(&features, cancel)?;
         if eq.diagnostics.degraded || !eq.diagnostics.fallbacks.is_empty() {
             self.eq_cache.note_fallback();
@@ -1004,84 +948,9 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         self.eq_cache.insert(key, canon);
     }
 
-    /// Warm-started Newton on a cache miss: seeds the solve from the
-    /// nearest cached neighbor's split (see
-    /// [`CombinedModel::with_warm_start`]). Returns `None` when warm-start
-    /// is disabled, no neighbor exists, or the warm solve did not converge
-    /// (cold fallback — counted as a warm fallback but *not* as a solver
-    /// fallback, since the cold path is expected to succeed normally).
-    fn solve_warm(
-        &self,
-        features: &[&FeatureVector],
-        order: &[usize],
-        key: &[u64],
-        cancel: &CancelToken,
-    ) -> Option<Result<Equilibrium, ModelError>> {
-        if !self.warm_start {
-            return None;
-        }
-        let (nkey, near) = self.eq_cache.neighbor(key)?;
-        self.eq_cache.note_warm_attempt();
-
-        // Two-pointer multiset match of the sorted canonical keys: matched
-        // positions inherit the neighbor's canonical split, the (at most
-        // one) unmatched position gets the leftover capacity.
-        let a = self.machine.l2_assoc() as f64;
-        let mut seed_canon = vec![f64::NAN; key.len()];
-        let mut matched_sum = 0.0;
-        let (mut i, mut j) = (0, 0);
-        // lint:allow(cancellation_propagation) -- bounded two-pointer sweep: i or j advances every iteration
-        while i < key.len() && j < nkey.len() {
-            match key[i].cmp(&nkey[j]) {
-                std::cmp::Ordering::Equal => {
-                    seed_canon[i] = near.sizes[j];
-                    matched_sum += near.sizes[j];
-                    i += 1;
-                    j += 1;
-                }
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-            }
-        }
-        let leftover = (a - matched_sum).clamp(0.05, a);
-        for s in &mut seed_canon {
-            if s.is_nan() {
-                *s = leftover;
-            }
-        }
-
-        // Scatter the canonical seed back to caller order; the warm solver
-        // re-canonicalizes internally.
-        let mut seed = vec![0.0; key.len()];
-        for (ci, &idx) in order.iter().enumerate() {
-            seed[idx] = seed_canon[ci];
-        }
-
-        match equilibrium::solve_newton_warm_cancellable(
-            features,
-            self.machine.l2_assoc(),
-            &seed,
-            near.window,
-            cancel,
-        ) {
-            Ok(eq) => {
-                self.eq_cache.note_warm_hit();
-                Some(Ok(eq))
-            }
-            Err(ModelError::Math(mathkit::MathError::Cancelled)) => {
-                Some(Err(ModelError::Math(mathkit::MathError::Cancelled)))
-            }
-            Err(_) => {
-                self.eq_cache.note_warm_fallback();
-                None
-            }
-        }
-    }
-
     /// No-solve equilibrium for the degraded tier: exact (possibly stale)
-    /// cache entry, else the nearest cached neighbor's split re-rated on
-    /// the caller's own feature curves, else the proportional closed
-    /// form. Never iterates, never touches the fallback counter, and
+    /// cache entry, else the proportional closed form. Never iterates,
+    /// never scans the cache, never touches the fallback counter, and
     /// never promotes or inserts cache entries — degraded traffic must
     /// not distort the healthy path's statistics or recency order.
     fn solve_degraded(
@@ -1094,28 +963,6 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
             return Ok(Self::permute_back(&canon, &order));
         }
         let features: Vec<&FeatureVector> = running.iter().map(|(_, p)| &p.feature).collect();
-        if let Some((_, near)) = self.eq_cache.neighbor(&key) {
-            Self::note_worst(worst, DegradedSource::StaleNeighbor);
-            // Borrow the neighbor's cache split positionally (both sides
-            // are in canonical order) and re-rate MPA/SPI/APS against the
-            // requesting processes' own curves.
-            let canon_features: Vec<&FeatureVector> = order.iter().map(|&i| features[i]).collect();
-            let diag = SolveDiagnostics {
-                method: near.diagnostics.method,
-                iterations: 0,
-                residual: 0.0,
-                fallbacks: Vec::new(),
-                degraded: true,
-            };
-            let canon = Equilibrium::from_sizes(
-                &canon_features,
-                near.sizes.clone(),
-                near.window,
-                near.cache_filled,
-                diag,
-            );
-            return Ok(Self::permute_back(&canon, &order));
-        }
         Self::note_worst(worst, DegradedSource::ProportionalSplit);
         equilibrium::solve_proportional(&features, self.machine.l2_assoc())
     }
@@ -1640,17 +1487,12 @@ mod tests {
     }
 
     #[test]
-    fn degraded_and_warm_start_estimates_bypass_the_die_memo() {
+    fn degraded_estimates_bypass_the_die_memo() {
         let m = server();
         let pm = synthetic_power_model(&m);
         let ps = vec![synthetic_profile("a", 0.4, 0.03, &m), synthetic_profile("b", 0.1, 0.01, &m)];
         let mut asg = Assignment::new(4);
         asg.assign(0, 0).assign(1, 1);
-        let warm = CombinedModel::new(&m, &pm).with_warm_start(true);
-        warm.estimate_processor_power(&ps, &asg).unwrap();
-        warm.estimate_processor_power(&ps, &asg).unwrap();
-        let st = warm.equilibrium_cache_stats();
-        assert_eq!((st.die_hits, st.die_misses, st.die_entries), (0, 0, 0), "{st:?}");
         let cm = CombinedModel::new(&m, &pm);
         cm.estimate_processor_power_degraded(&ps, &asg).unwrap();
         let st = cm.equilibrium_cache_stats();
@@ -1778,29 +1620,26 @@ mod tests {
     }
 
     #[test]
-    fn degraded_neighbor_tier_reuses_nearest_cached_split() {
+    fn degraded_miss_is_proportional_whatever_is_cached() {
         let m = server();
         let pm = synthetic_power_model(&m);
         let cm = CombinedModel::new(&m, &pm);
+        let uncached = CombinedModel::new(&m, &pm).with_equilibrium_cache_capacity(0);
         let a = synthetic_profile("a", 0.4, 0.03, &m);
         let b = synthetic_profile("b", 0.1, 0.01, &m);
         let c = synthetic_profile("c", 0.45, 0.032, &m);
         let mut asg = Assignment::new(4);
         asg.assign(0, 0).assign(1, 1);
-        // Warm the cache with the (a, b) pair, then ask degraded for
-        // (c, b): same cardinality, shares b's fingerprint -> neighbor.
-        cm.estimate_processor_power(&[a.clone(), b.clone()], &asg).unwrap();
-        let deg = cm.estimate_processor_power_degraded(&[c.clone(), b.clone()], &asg).unwrap();
-        assert_eq!(deg.source, DegradedSource::StaleNeighbor);
-        assert!(deg.power_w.is_finite() && deg.power_w > 0.0);
-        // The neighbor answer re-rates on c's own curves, so it should be
-        // in the neighborhood of the true (c, b) estimate.
-        let truth = cm.estimate_processor_power(&[c, b], &asg).unwrap();
-        assert!(
-            (deg.power_w - truth).abs() < 0.2 * truth,
-            "neighbor estimate {} too far from truth {truth}",
-            deg.power_w
-        );
+        // Warm the cache with the (a, b) pair exactly; (c, b) shares b's
+        // fingerprint but misses, so it gets the closed form, as if
+        // nothing were cached.
+        cm.estimate_processor_power(&[a, b.clone()], &asg).unwrap();
+        let ps = vec![c, b];
+        let deg = cm.estimate_processor_power_degraded(&ps, &asg).unwrap();
+        assert_eq!(deg.source, DegradedSource::ProportionalSplit);
+        let bare = uncached.estimate_processor_power_degraded(&ps, &asg).unwrap();
+        assert_eq!(bare.source, DegradedSource::ProportionalSplit);
+        assert_eq!(deg.power_w.to_bits(), bare.power_w.to_bits());
     }
 
     #[test]
@@ -1829,67 +1668,9 @@ mod tests {
 
     #[test]
     fn degraded_source_order_and_names() {
-        assert!(DegradedSource::ExactCache < DegradedSource::StaleNeighbor);
-        assert!(DegradedSource::StaleNeighbor < DegradedSource::ProportionalSplit);
+        assert!(DegradedSource::ExactCache < DegradedSource::ProportionalSplit);
         assert_eq!(DegradedSource::ExactCache.name(), "exact_cache");
-        assert_eq!(DegradedSource::StaleNeighbor.name(), "stale_neighbor");
         assert_eq!(DegradedSource::ProportionalSplit.name(), "proportional_split");
-    }
-
-    #[test]
-    fn warm_start_converges_to_cold_fixed_point_and_counts() {
-        let m = server();
-        let pm = synthetic_power_model(&m);
-        let cold = CombinedModel::new(&m, &pm);
-        let warm = CombinedModel::new(&m, &pm).with_warm_start(true);
-        let a = synthetic_profile("a", 0.4, 0.03, &m);
-        let b = synthetic_profile("b", 0.1, 0.01, &m);
-        let c = synthetic_profile("c", 0.45, 0.032, &m);
-        let mut asg = Assignment::new(4);
-        asg.assign(0, 0).assign(1, 1);
-        // First estimate on each model is a cold solve (empty cache, no
-        // neighbor) and therefore bit-identical.
-        let x0 = cold.estimate_processor_power(&[a.clone(), b.clone()], &asg).unwrap();
-        let y0 = warm.estimate_processor_power(&[a.clone(), b.clone()], &asg).unwrap();
-        assert_eq!(x0.to_bits(), y0.to_bits(), "no neighbor -> identical cold path");
-        assert_eq!(warm.equilibrium_cache_stats().warm_attempts, 0);
-        // Second pair has a cached same-cardinality neighbor sharing b:
-        // the warm model seeds Newton from it and must land on the same
-        // fixed point the cold model finds (same equations, tight tol).
-        let x1 = cold.estimate_processor_power(&[c.clone(), b.clone()], &asg).unwrap();
-        let y1 = warm.estimate_processor_power(&[c, b], &asg).unwrap();
-        assert!((x1 - y1).abs() <= 1e-6 * x1.abs(), "cold {x1} vs warm {y1}");
-        let st = warm.equilibrium_cache_stats();
-        assert_eq!(st.warm_attempts, 1, "{st:?}");
-        assert_eq!(st.warm_hits + st.warm_fallbacks, st.warm_attempts, "{st:?}");
-        assert_eq!(warm.solver_fallbacks(), 0, "warm fallback is not a solver-health event");
-        assert_eq!(cold.equilibrium_cache_stats().warm_attempts, 0);
-    }
-
-    #[test]
-    fn warm_start_is_deterministic_across_runs() {
-        let m = server();
-        let pm = synthetic_power_model(&m);
-        let a = synthetic_profile("a", 0.4, 0.03, &m);
-        let b = synthetic_profile("b", 0.1, 0.01, &m);
-        let c = synthetic_profile("c", 0.45, 0.032, &m);
-        let ps = vec![a, b, c];
-        let mut asg = Assignment::new(4);
-        asg.assign(0, 0).assign(1, 1);
-        let run = || {
-            let cm = CombinedModel::new(&m, &pm).with_warm_start(true);
-            let mut out = Vec::new();
-            out.push(cm.estimate_processor_power(&ps, &asg).unwrap());
-            out.push(cm.estimate_after_assigning(&ps, &asg, 2, 2).unwrap());
-            out.extend(cm.estimate_candidates(&ps, &asg, 2, &[0, 1, 2, 3], 2).unwrap());
-            let st = cm.equilibrium_cache_stats();
-            (out.iter().map(|x| x.to_bits()).collect::<Vec<u64>>(), st.warm_attempts, st.warm_hits)
-        };
-        let (bits1, att1, hit1) = run();
-        let (bits2, att2, hit2) = run();
-        assert_eq!(bits1, bits2, "warm-start policy must be deterministic");
-        assert_eq!(att1, att2);
-        assert_eq!(hit1, hit2);
     }
 
     #[test]

@@ -50,15 +50,6 @@ pub struct EqCacheStats {
     pub entries: usize,
     /// Total configured capacity (0 = caching disabled).
     pub capacity: usize,
-    /// Misses where a same-cardinality neighbor was available to seed a
-    /// warm-started Newton solve.
-    pub warm_attempts: u64,
-    /// Warm-started solves that converged (the seed was used).
-    pub warm_hits: u64,
-    /// Warm-started solves that did not converge and fell back to the
-    /// cold solver. Tracked separately from `fallback_solves`: a warm
-    /// fallback is an optimization miss, not a solver-health event.
-    pub warm_fallbacks: u64,
     /// Die-power lookups answered from the die memo (no Eq. 10 walk).
     /// Counted apart from `hits`: a die hit makes no equilibrium lookup.
     pub die_hits: u64,
@@ -117,10 +108,6 @@ pub struct EquilibriumCache {
     fallback_solves: AtomicU64,
     /// Sets solved by a batch prestage without a counted lookup.
     prestaged_solves: AtomicU64,
-    /// Warm-start accounting (see [`EqCacheStats`]).
-    warm_attempts: AtomicU64,
-    warm_hits: AtomicU64,
-    warm_fallbacks: AtomicU64,
 }
 
 /// Mixes the canonical fingerprint list into a shard index. SplitMix64
@@ -134,25 +121,6 @@ fn shard_of(key: &[u64]) -> usize {
         z ^= z >> 27;
     }
     (z as usize) & (SHARDS - 1)
-}
-
-/// Multiset intersection size of two sorted fingerprint lists (canonical
-/// keys are sorted, so a linear two-pointer sweep suffices).
-fn shared_fingerprints(a: &[u64], b: &[u64]) -> usize {
-    let (mut i, mut j, mut shared) = (0, 0, 0);
-    // lint:allow(cancellation_propagation) -- bounded two-pointer sweep: i or j advances every iteration
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Equal => {
-                shared += 1;
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-        }
-    }
-    shared
 }
 
 impl EquilibriumCache {
@@ -169,9 +137,6 @@ impl EquilibriumCache {
             capacity: per_shard * SHARDS,
             fallback_solves: AtomicU64::new(0),
             prestaged_solves: AtomicU64::new(0),
-            warm_attempts: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
-            warm_fallbacks: AtomicU64::new(0),
         }
     }
 
@@ -190,40 +155,6 @@ impl EquilibriumCache {
     /// the healthy path's eviction decisions rely on.
     pub fn peek(&self, key: &[u64]) -> Option<Equilibrium> {
         self.eqs.lock(key).peek(key).cloned()
-    }
-
-    /// Finds the nearest same-cardinality neighbor of `key`: a cached
-    /// entry with the same co-runner count sharing all but at most one
-    /// content fingerprint. Used by the serving layer's degraded tier —
-    /// a stale answer for an *almost* identical co-run beats the
-    /// proportional closed form when one is available.
-    ///
-    /// Ties are broken deterministically (most shared fingerprints, then
-    /// lexicographically smallest key), independent of shard layout and
-    /// recency order, so concurrent healthy traffic cannot change which
-    /// neighbor a given cache population yields. Returns the winning key
-    /// together with its equilibrium; no promotion happens.
-    pub fn neighbor(&self, key: &[u64]) -> Option<(Vec<u64>, Equilibrium)> {
-        let mut best: Option<(usize, Vec<u64>, Equilibrium)> = None;
-        for shard in self.eqs.all() {
-            for (k, v) in shard.iter() {
-                if k.len() != key.len() || k.as_slice() == key {
-                    continue;
-                }
-                let shared = shared_fingerprints(key, k);
-                if shared + 1 < key.len() {
-                    continue;
-                }
-                let better = match &best {
-                    None => true,
-                    Some((bs, bk, _)) => shared > *bs || (shared == *bs && *k < *bk),
-                };
-                if better {
-                    best = Some((shared, k.clone(), v.clone()));
-                }
-            }
-        }
-        best.map(|(_, k, v)| (k, v))
     }
 
     /// Memoizes a canonical-order solve under its canonical key.
@@ -264,22 +195,6 @@ impl EquilibriumCache {
         self.prestaged_solves.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a miss where a neighbor seed was available and a
-    /// warm-started solve was attempted.
-    pub fn note_warm_attempt(&self) {
-        self.warm_attempts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a warm-started solve that converged.
-    pub fn note_warm_hit(&self) {
-        self.warm_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a warm-started solve that fell back to the cold solver.
-    pub fn note_warm_fallback(&self) {
-        self.warm_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Equilibria currently memoized.
     pub fn entries(&self) -> usize {
         self.eqs.all().map(|s| s.len()).sum()
@@ -302,9 +217,6 @@ impl EquilibriumCache {
             evictions,
             entries,
             capacity: self.capacity,
-            warm_attempts: self.warm_attempts.load(Ordering::Relaxed),
-            warm_hits: self.warm_hits.load(Ordering::Relaxed),
-            warm_fallbacks: self.warm_fallbacks.load(Ordering::Relaxed),
             die_hits,
             die_misses,
             die_entries,
@@ -387,32 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_finds_off_by_one_key_of_same_cardinality() {
-        let cache = EquilibriumCache::new(64);
-        cache.insert(vec![10, 20, 30], dummy_eq(1.0));
-        cache.insert(vec![10, 20], dummy_eq(2.0)); // wrong cardinality
-        cache.insert(vec![11, 21, 31], dummy_eq(3.0)); // shares nothing
-        let (k, eq) = cache.neighbor(&[10, 20, 99]).expect("off-by-one neighbor");
-        assert_eq!(k, vec![10, 20, 30]);
-        assert_eq!(eq.window.to_bits(), 1.0f64.to_bits());
-        // Two-away keys never qualify.
-        assert!(cache.neighbor(&[10, 98, 99]).is_none());
-        // An exact match is not its own neighbor.
-        assert!(cache.neighbor(&[10, 20, 30]).is_none());
-    }
-
-    #[test]
-    fn neighbor_tie_break_is_smallest_key() {
-        let cache = EquilibriumCache::new(64);
-        cache.insert(vec![10, 20, 31], dummy_eq(1.0));
-        cache.insert(vec![10, 20, 30], dummy_eq(2.0));
-        // Both share {10, 20} with the probe; the lexicographically
-        // smaller key wins regardless of insertion/recency order.
-        let (k, _) = cache.neighbor(&[10, 20, 99]).expect("neighbor");
-        assert_eq!(k, vec![10, 20, 30]);
-    }
-
-    #[test]
     fn clear_and_fallback_counter() {
         let cache = EquilibriumCache::new(8);
         cache.insert(vec![1], dummy_eq(1.0));
@@ -441,21 +327,5 @@ mod tests {
         let off = EquilibriumCache::new(0);
         off.insert_die([1, 2], 3.0);
         assert_eq!(off.peek_die(&[1, 2]), None);
-    }
-
-    #[test]
-    fn warm_counters_aggregate_into_stats() {
-        let cache = EquilibriumCache::new(8);
-        assert_eq!(cache.stats().warm_attempts, 0);
-        cache.note_warm_attempt();
-        cache.note_warm_attempt();
-        cache.note_warm_hit();
-        cache.note_warm_fallback();
-        let st = cache.stats();
-        assert_eq!(st.warm_attempts, 2);
-        assert_eq!(st.warm_hits, 1);
-        assert_eq!(st.warm_fallbacks, 1);
-        // Warm fallbacks are optimization misses, not solver-health events.
-        assert_eq!(cache.fallback_solves(), 0);
     }
 }

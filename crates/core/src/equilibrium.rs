@@ -24,10 +24,8 @@
 //!   proportional-to-API heuristic split that cannot fail. Every stage
 //!   transition is recorded in [`SolveDiagnostics`].
 //!
-//! Two special-purpose entries remain beside the front doors:
-//! [`solve_proportional`] (the serving breaker's no-solve degraded tier)
-//! and [`solve_newton_warm_cancellable`] (Newton seeded from a cached
-//! neighbor).
+//! One special-purpose entry remains beside the front doors:
+//! [`solve_proportional`] (the serving breaker's no-solve degraded tier).
 //!
 //! If the combined demand cannot fill the cache (every process saturates
 //! below its share), the capacity constraint is infeasible; the solvers
@@ -204,10 +202,8 @@ pub struct Equilibrium {
 
 impl Equilibrium {
     /// Derives per-process MPA/SPI/APS from each feature's own curves at
-    /// the given sizes. Crate-visible so the degraded estimation tier can
-    /// re-rate a neighbor's cache split against the requesting co-run's
-    /// own features.
-    pub(crate) fn from_sizes(
+    /// the given sizes.
+    fn from_sizes(
         features: &[&FeatureVector],
         sizes: Vec<f64>,
         window: f64,
@@ -603,52 +599,6 @@ fn bisection_core(
     Ok(CoreSolution { sizes, window: t, filled: true, diagnostics: diag })
 }
 
-/// [`SolverKind::Newton`] seeded from a previously solved neighbor
-/// equilibrium instead of the cold demand-proportional guess.
-///
-/// `warm_sizes` / `warm_window` are a candidate starting point in the
-/// *caller's* process order (the front-end permutes them canonically along
-/// with the features). This entry is strict: if the warm-seeded Newton does
-/// not converge it returns an error rather than silently re-solving cold,
-/// so callers (the eqcache warm-start path) can count fallbacks and run
-/// the cold solver of their choice. Degenerate inputs (≤1 active process,
-/// unit associativity) ignore the seed and take the usual closed forms.
-///
-/// # Errors
-///
-/// Everything [`solve_cancellable`] returns for [`SolverKind::Newton`],
-/// plus non-convergence from the warm seed and a seed-shape mismatch.
-pub fn solve_newton_warm_cancellable(
-    features: &[&FeatureVector],
-    assoc: usize,
-    warm_sizes: &[f64],
-    warm_window: f64,
-    cancel: &CancelToken,
-) -> Result<Equilibrium, ModelError> {
-    validate(features, assoc)?;
-    if warm_sizes.len() != features.len() {
-        return Err(ModelError::EquilibriumFailed(format!(
-            "warm-start seed has {} sizes for {} processes",
-            warm_sizes.len(),
-            features.len()
-        )));
-    }
-    let a = assoc as f64;
-    solve_with(features, assoc, cancel, |canon, order| {
-        let seed: Vec<f64> = order.iter().map(|&i| warm_sizes[i]).collect();
-        let sat_sum: f64 = canon.iter().map(|f| f.occupancy().saturation().min(a)).sum();
-        if sat_sum < a - 1e-2 {
-            // Infeasible capacity constraint: no root for a warm seed to reach.
-            return Err(ModelError::EquilibriumFailed(
-                "warm-start: saturated demand below capacity".into(),
-            ));
-        }
-        let mut scratch = NewtonScratch::default();
-        fast_newton_core(canon, a, Some((&seed, warm_window)), cancel, &mut scratch)
-            .map_err(|e| outer_bisection_error("warm-start newton", e))
-    })
-}
-
 /// One co-scheduled set in a batched solve: borrowed feature vectors in
 /// the caller's slot order. Results come back in the same per-set order.
 #[derive(Debug, Clone)]
@@ -755,7 +705,7 @@ fn newton_core(
     if sat_sum < a - 1e-2 {
         return bisection_core(features, a, cancel);
     }
-    match fast_newton_core(features, a, None, cancel, scratch) {
+    match fast_newton_core(features, a, cancel, scratch) {
         Ok(core) => Ok(core),
         Err(mathkit::MathError::Cancelled) => Err(ModelError::Math(mathkit::MathError::Cancelled)),
         // Near-infeasible or pathological curvature: the legacy path is
@@ -863,14 +813,13 @@ fn fast_eval(
 }
 
 /// Damped Newton on the `(S_1..S_k, T)` system with the analytic arrow
-/// Jacobian from [`fast_eval`]. Seeded either warm (a neighbor solution)
-/// or cold (demand-proportional sizes, geometric-mean window — the same
-/// shape as the robust chain's first attempt). Errors are typed so the
-/// caller can fall back; `Cancelled` always propagates.
+/// Jacobian from [`fast_eval`], seeded cold: demand-proportional sizes at
+/// a geometric-mean window, the same shape as the robust chain's first
+/// attempt. Errors are typed so the caller can fall back; `Cancelled`
+/// always propagates.
 fn fast_newton_core(
     features: &[&FeatureVector],
     a: f64,
-    warm: Option<(&[f64], f64)>,
     cancel: &CancelToken,
     scratch: &mut NewtonScratch,
 ) -> Result<CoreSolution, mathkit::MathError> {
@@ -878,38 +827,22 @@ fn fast_newton_core(
     let NewtonScratch { sizes, res, diag, wcol, step, cand, cand_res, cand_diag, cand_wcol } =
         scratch;
     sizes.clear();
-    let mut t = match warm {
-        Some((warm_sizes, warm_window)) => {
-            if warm_sizes.iter().any(|s| !s.is_finite())
-                || !warm_window.is_finite()
-                || warm_window <= 0.0
-            {
-                return Err(mathkit::MathError::NonFinite("warm-start seed".into()));
-            }
-            sizes.extend(warm_sizes.iter().map(|s| s.clamp(0.02, a)));
-            warm_window.clamp(1e-15, 1e12)
-        }
-        None => {
-            // Demand-proportional sizes at a geometric-mean window: the
-            // same cold seed shape as the robust chain's first attempt.
-            let api_total: f64 = features.iter().map(|f| f.api()).sum();
-            if api_total.is_nan() || api_total <= 0.0 {
-                return Err(mathkit::MathError::NonFinite("zero total API".into()));
-            }
-            sizes.extend(features.iter().map(|f| (a * f.api() / api_total).clamp(0.05, a)));
-            let mut log_t = 0.0;
-            for (i, f) in features.iter().enumerate() {
-                let ginv = f.occupancy().g_inverse_with_slope(sizes[i]).0.max(1e-12);
-                let aps = f.aps_with_slope(sizes[i]).0.max(1e-12);
-                log_t += (ginv / aps).ln();
-            }
-            let t0 = (log_t / k as f64).exp();
-            if !t0.is_finite() {
-                return Err(mathkit::MathError::NonFinite("cold window seed".into()));
-            }
-            t0.clamp(1e-15, 1e12)
-        }
-    };
+    let api_total: f64 = features.iter().map(|f| f.api()).sum();
+    if api_total.is_nan() || api_total <= 0.0 {
+        return Err(mathkit::MathError::NonFinite("zero total API".into()));
+    }
+    sizes.extend(features.iter().map(|f| (a * f.api() / api_total).clamp(0.05, a)));
+    let mut log_t = 0.0;
+    for (i, f) in features.iter().enumerate() {
+        let ginv = f.occupancy().g_inverse_with_slope(sizes[i]).0.max(1e-12);
+        let aps = f.aps_with_slope(sizes[i]).0.max(1e-12);
+        log_t += (ginv / aps).ln();
+    }
+    let t0 = (log_t / k as f64).exp();
+    if !t0.is_finite() {
+        return Err(mathkit::MathError::NonFinite("cold window seed".into()));
+    }
+    let mut t = t0.clamp(1e-15, 1e12);
     res.clear();
     res.resize(k + 1, 0.0);
     diag.clear();

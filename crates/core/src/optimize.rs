@@ -774,9 +774,8 @@ fn greedy_construct<M: CorePowerModel>(
 
 /// Seeded local search: greedy start plus seeded random restarts, each
 /// refined by steepest-descent move/swap neighborhoods. Each round
-/// batch-prestages all neighbors (`solve_batch_cancellable`, plus warm starts from
-/// eqcache neighbors when the model enables them) and then scores them
-/// in a fixed order.
+/// batch-prestages all neighbors (`solve_batch_cancellable`) and then
+/// scores them in a fixed order.
 fn local_search<M: CorePowerModel + Sync>(
     model: &CombinedModel<'_, M>,
     inst: &Instance<'_>,

@@ -103,7 +103,7 @@ pub struct FnItem {
     /// Bare name (`solve_batch`).
     pub name: String,
     /// Qualified name: module path and impl type joined with `::`
-    /// (`eqcache::EquilibriumCache::neighbor`).
+    /// (`eqcache::EquilibriumCache::peek`).
     pub qual: String,
     /// 1-based line of the `fn` keyword.
     pub line: u32,

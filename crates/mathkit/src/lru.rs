@@ -179,16 +179,6 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         None
     }
 
-    /// Iterates entries from most- to least-recently-used.
-    ///
-    /// The order is the recency list, not `HashMap` iteration order, so
-    /// it is deterministic for a given operation history — callers that
-    /// scan the cache (e.g. the equilibrium cache's stale-neighbor
-    /// lookup) stay reproducible across runs.
-    pub fn iter(&self) -> Iter<'_, K, V> {
-        Iter { cache: self, slot: self.head }
-    }
-
     /// Drops every entry (counters are kept).
     pub fn clear(&mut self) {
         self.map.clear();
@@ -226,26 +216,6 @@ impl<K: Hash + Eq + Clone, V> LruCache<K, V> {
         if self.tail == NIL {
             self.tail = slot;
         }
-    }
-}
-
-/// Iterator over an [`LruCache`] in most- to least-recently-used order.
-#[derive(Debug)]
-pub struct Iter<'a, K, V> {
-    cache: &'a LruCache<K, V>,
-    slot: usize,
-}
-
-impl<'a, K, V> Iterator for Iter<'a, K, V> {
-    type Item = (&'a K, &'a V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.slot == NIL {
-            return None;
-        }
-        let entry = &self.cache.entries[self.slot];
-        self.slot = entry.next;
-        Some((&entry.key, &entry.value))
     }
 }
 
@@ -331,20 +301,6 @@ mod tests {
         lru.insert(2, 20);
         assert_eq!(lru.get(&2), Some(&20));
         assert_eq!(order(&lru), vec![2]);
-    }
-
-    #[test]
-    fn iter_walks_recency_order() {
-        let mut lru = LruCache::new(3);
-        lru.insert(1, 10);
-        lru.insert(2, 20);
-        lru.insert(3, 30);
-        lru.get(&1); // promote
-        let seen: Vec<(u32, u32)> = lru.iter().map(|(&k, &v)| (k, v)).collect();
-        assert_eq!(seen, vec![(1, 10), (3, 30), (2, 20)]);
-        assert_eq!(lru.iter().count(), lru.len());
-        let empty: LruCache<u32, u32> = LruCache::new(4);
-        assert_eq!(empty.iter().count(), 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! budget on more doomed exact solves makes overload worse. The breaker
 //! watches a sliding window of exact-solve outcomes; past a failure
 //! threshold it *opens* and the server answers from the degraded tier
-//! (stale cache, stale neighbor, or the proportional closed form —
+//! (a stale exact cache entry, else the proportional closed form —
 //! see `CombinedModel::estimate_processor_power_degraded`), every such
 //! answer explicitly tagged `"degraded": true` on the wire.
 //!

@@ -46,8 +46,8 @@
 //!    `deadline_exceeded` error. `deadline_ms: 0` expires instantly.
 //! 3. **Breaker** — a clock-free circuit breaker ([`crate::breaker`])
 //!    over exact-solve outcomes; while open, answers come from the
-//!    degraded tier (exact cache peek, stale neighbor, proportional
-//!    closed form) and are tagged `"degraded": true` with a
+//!    degraded tier (exact cache peek, else the proportional closed
+//!    form) and are tagged `"degraded": true` with a
 //!    `degraded_source`.
 //! 4. **Single-flight** — concurrent `estimate`s for the same exact
 //!    co-run key coalesce into one solve ([`crate::singleflight`]);
@@ -116,10 +116,6 @@ pub struct ServeOptions {
     pub breaker_cooldown: u32,
     /// How long a coalesced follower waits for its leader's solve.
     pub singleflight_wait_ms: u64,
-    /// Warm-start Newton from cached neighbor equilibria on cache misses
-    /// (see [`CombinedModel::with_warm_start`]). A different
-    /// deterministic solve policy, so off by default.
-    pub warm_start: bool,
 }
 
 impl Default for ServeOptions {
@@ -137,7 +133,6 @@ impl Default for ServeOptions {
             breaker_threshold: 8,
             breaker_cooldown: 16,
             singleflight_wait_ms: 2_000,
-            warm_start: false,
         }
     }
 }
@@ -423,7 +418,6 @@ impl PredictionService {
     fn model(&self) -> CombinedModel<'_, PowerModel> {
         CombinedModel::new(&self.machine, &self.power)
             .with_equilibrium_cache_capacity(self.opts.cache_capacity)
-            .with_warm_start(self.opts.warm_start)
     }
 
     fn read_registry(&self) -> RwLockReadGuard<'_, BTreeMap<String, ProcessProfile>> {
@@ -1154,9 +1148,6 @@ impl PredictionService {
             ("evictions".into(), Json::Num(eq.evictions as f64)),
             ("entries".into(), Json::Num(eq.entries as f64)),
             ("capacity".into(), Json::Num(eq.capacity as f64)),
-            ("warm_attempts".into(), Json::Num(eq.warm_attempts as f64)),
-            ("warm_hits".into(), Json::Num(eq.warm_hits as f64)),
-            ("warm_fallbacks".into(), Json::Num(eq.warm_fallbacks as f64)),
             ("die_hits".into(), Json::Num(eq.die_hits as f64)),
             ("die_misses".into(), Json::Num(eq.die_misses as f64)),
             ("die_entries".into(), Json::Num(eq.die_entries as f64)),
@@ -1426,10 +1417,10 @@ mod tests {
         assert_eq!(resp.get("profiles").and_then(Json::as_usize), Some(2));
         let eq = resp.get("eq_cache").unwrap();
         assert!(eq.get("misses").and_then(Json::as_f64).unwrap() >= 1.0);
-        // Warm-start is off by default, so the counters exist but are 0.
-        assert_eq!(eq.get("warm_attempts").and_then(Json::as_f64), Some(0.0));
-        assert_eq!(eq.get("warm_hits").and_then(Json::as_f64), Some(0.0));
-        assert_eq!(eq.get("warm_fallbacks").and_then(Json::as_f64), Some(0.0));
+        // The eq_cache object carries no warm-start counters.
+        for key in ["warm_attempts", "warm_hits", "warm_fallbacks"] {
+            assert!(eq.get(key).is_none(), "{key} in {eq:?}");
+        }
         // The die memo has its own counters: the assign walked each die once.
         let die_misses = eq.get("die_misses").and_then(Json::as_f64).unwrap();
         let die_entries = eq.get("die_entries").and_then(Json::as_f64).unwrap();
@@ -1440,37 +1431,6 @@ mod tests {
         let latency = resp.get("latency").unwrap();
         assert!(latency.get("count").and_then(Json::as_f64).unwrap() >= 4.0);
         assert!(latency.get("p50_ns").and_then(Json::as_f64).unwrap() > 0.0);
-    }
-
-    #[test]
-    fn warm_start_service_estimates_and_reports_counters() {
-        let svc = PredictionService::with_options(
-            machine(),
-            power_model(),
-            ServeOptions { workers: 1, warm_start: true, ..ServeOptions::default() },
-        );
-        let model = svc.model();
-        let m = machine();
-        for (name, tail, api) in [("a", 0.4, 0.03), ("b", 0.1, 0.01), ("c", 0.45, 0.032)] {
-            svc.register_profile(name, synthetic_profile(name, tail, api, &m)).unwrap();
-        }
-        let r1 = ask(&svc, &model, r#"{"id":1,"op":"estimate","assignment":[["a"],["b"]]}"#);
-        assert_eq!(r1.get("ok"), Some(&Json::Bool(true)), "{r1:?}");
-        // Second pair shares b: its cache miss goes through the warm path.
-        let r2 = ask(&svc, &model, r#"{"id":2,"op":"estimate","assignment":[["c"],["b"]]}"#);
-        assert_eq!(r2.get("ok"), Some(&Json::Bool(true)), "{r2:?}");
-        let p2 = r2.get("power_w").and_then(Json::as_f64).unwrap();
-        assert!(p2.is_finite() && p2 > 0.0);
-        let stats = ask(&svc, &model, r#"{"id":3,"op":"stats"}"#);
-        let eq = stats.get("eq_cache").unwrap();
-        let attempts = eq.get("warm_attempts").and_then(Json::as_f64).unwrap();
-        let hits = eq.get("warm_hits").and_then(Json::as_f64).unwrap();
-        let fallbacks = eq.get("warm_fallbacks").and_then(Json::as_f64).unwrap();
-        assert!(attempts >= 1.0, "{stats:?}");
-        assert_eq!(hits + fallbacks, attempts);
-        // Warm fallbacks are not solver-health events and must not feed
-        // the breaker's failure accounting.
-        assert_eq!(stats.get("solver_fallbacks").and_then(Json::as_f64), Some(0.0));
     }
 
     #[test]
@@ -1754,10 +1714,7 @@ mod tests {
         assert_eq!(resp.get("degraded"), Some(&Json::Bool(true)));
         assert_eq!(resp.get("method").and_then(Json::as_str), Some("greedy_degraded"));
         let source = resp.get("degraded_source").and_then(Json::as_str).unwrap();
-        assert!(
-            ["exact_cache", "stale_neighbor", "proportional_split"].contains(&source),
-            "{source}"
-        );
+        assert!(["exact_cache", "proportional_split"].contains(&source), "{source}");
         let placement = resp.get("placement").and_then(Json::as_arr).unwrap();
         let placed: usize = placement.iter().map(|q| q.as_arr().map_or(0, <[Json]>::len)).sum();
         assert_eq!(placed, 2, "the degraded tier still places everything");
@@ -2046,10 +2003,7 @@ mod tests {
         assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp:?}");
         assert_eq!(resp.get("degraded"), Some(&Json::Bool(true)));
         let source = resp.get("degraded_source").and_then(Json::as_str).unwrap();
-        assert!(
-            ["exact_cache", "stale_neighbor", "proportional_split"].contains(&source),
-            "{source}"
-        );
+        assert!(["exact_cache", "proportional_split"].contains(&source), "{source}");
         let candidates = resp.get("candidates").and_then(Json::as_arr).unwrap();
         assert_eq!(candidates.len(), 2);
         for cand in candidates {

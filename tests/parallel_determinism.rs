@@ -284,11 +284,10 @@ fn solve_batch_matches_sequential_for_all_worker_counts() {
 }
 
 #[test]
-fn warm_start_is_deterministic_and_cold_is_bit_stable() {
-    // Warm-started solving is a *policy* change (different Newton seeds),
-    // so it is not required to be bit-identical to the cold path — but it
-    // must be deterministic across runs and worker counts, and leaving it
-    // off must keep estimates bit-identical to a cache-disabled model.
+fn cold_sweep_is_bit_stable_across_workers_and_uncached() {
+    // Every cache miss is solved cold, so a candidate sweep must give the
+    // same bits for any worker count and the same bits as a model with
+    // the cache (and its batch prestage) disabled.
     let machine = MachineConfig::four_core_server();
     let power = synthetic_power_model(&machine);
     let profiles: Vec<ProcessProfile> = [
@@ -304,8 +303,8 @@ fn warm_start_is_deterministic_and_cold_is_bit_stable() {
     current.assign(0, 0).assign(1, 1).assign(2, 3);
     let cores: Vec<usize> = (0..machine.num_cores()).collect();
 
-    let sweep = |warm: bool, workers: usize| -> Vec<u64> {
-        let cm = CombinedModel::new(&machine, &power).with_warm_start(warm);
+    let sweep = |workers: usize| -> Vec<u64> {
+        let cm = CombinedModel::new(&machine, &power);
         let mut bits = Vec::new();
         for round in 0..2 {
             let est = cm.estimate_candidates(&profiles, &current, 2, &cores, workers).unwrap();
@@ -315,14 +314,10 @@ fn warm_start_is_deterministic_and_cold_is_bit_stable() {
         bits
     };
 
-    let cold_ref = sweep(false, 1);
-    let warm_ref = sweep(true, 1);
+    let cold_ref = sweep(1);
     for workers in WORKER_COUNTS {
-        assert_eq!(sweep(false, workers), cold_ref, "cold workers={workers}");
-        assert_eq!(sweep(true, workers), warm_ref, "warm workers={workers}");
+        assert_eq!(sweep(workers), cold_ref, "cold workers={workers}");
     }
-    // Cold-path answers are the contract: identical with the cache (and
-    // its batch prestage) disabled entirely.
     let uncached = CombinedModel::new(&machine, &power).with_equilibrium_cache_capacity(0);
     let plain: Vec<u64> = cores
         .iter()
