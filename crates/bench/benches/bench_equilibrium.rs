@@ -1,6 +1,6 @@
 //! Equilibrium-solver cost (backs Table 1): how fast can the performance
-//! model evaluate a co-scheduled set? Includes the bisection-vs-Newton
-//! ablation called out in DESIGN.md.
+//! model evaluate a co-scheduled set? Times the bisection oracle against
+//! the default curve-inversion solver.
 
 use bench::synthetic_feature;
 use cmpsim::machine::MachineConfig;
@@ -33,11 +33,11 @@ fn bench_solvers(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("bisection", k), &k, |b, _| {
             b.iter(|| equilibrium::solve(black_box(&refs), 16).expect("solve"))
         });
-        group.bench_with_input(BenchmarkId::new("newton", k), &k, |b, _| {
+        group.bench_with_input(BenchmarkId::new("inversion", k), &k, |b, _| {
             let never = CancelToken::never();
             b.iter(|| {
-                equilibrium::solve_cancellable(black_box(&refs), 16, SolverKind::Newton, &never)
-                    .expect("solve")
+                let kind = SolverKind::CurveInversion;
+                equilibrium::solve_cancellable(black_box(&refs), 16, kind, &never).expect("solve")
             })
         });
     }

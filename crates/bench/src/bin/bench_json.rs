@@ -323,9 +323,9 @@ fn bench_equilibrium(cfg: &Config) {
     let reps = if cfg.tiny { 7 } else { 25 };
     let iters = if cfg.tiny { 20u64 } else { 400 };
     // Tiny reps of the per-k solves still last milliseconds each, so the
-    // CI gate's newton/3 : bisection/3 ratio does not hinge on a few
+    // CI gate's inversion/3 : bisection/3 ratio does not hinge on a few
     // microseconds of scheduler noise.
-    let (bisection_iters, newton_iters) = if cfg.tiny { (40u64, 4000) } else { (iters, iters) };
+    let (bisection_iters, inversion_iters) = if cfg.tiny { (40u64, 4000) } else { (iters, iters) };
     let mut entries = Vec::new();
     for k in [2usize, 3, 4] {
         let feats: Vec<FeatureVector> = (0..k)
@@ -347,23 +347,22 @@ fn bench_equilibrium(cfg: &Config) {
             bisection_iters
         };
         let never = CancelToken::never();
-        let mut newton = || {
-            for _ in 0..newton_iters {
-                equilibrium::solve_cancellable(&refs, 16, SolverKind::Newton, &never)
+        let mut inversion = || {
+            for _ in 0..inversion_iters {
+                equilibrium::solve_cancellable(&refs, 16, SolverKind::CurveInversion, &never)
                     .expect("solve");
             }
-            newton_iters
+            inversion_iters
         };
-        // Interleaved: the CI perf gate reads the newton/3 : bisection/3
-        // ratio.
-        let timed = measure_each(reps, &mut [&mut bisection, &mut newton]);
+        // Interleaved: the CI perf gate reads the inversion/3 :
+        // bisection/3 ratio.
+        let timed = measure_each(reps, &mut [&mut bisection, &mut inversion]);
         let ((tb, nb), (tn, nn)) = (timed[0], timed[1]);
         entries.push(entry(format!("bisection/{k}"), tb, nb, Some("solves/s"), reps));
-        entries.push(entry(format!("newton/{k}"), tn, nn, Some("solves/s"), reps));
+        entries.push(entry(format!("inversion/{k}"), tn, nn, Some("solves/s"), reps));
     }
     // Batched solving: 16 distinct three-way co-run sets through
-    // the batch front door (shared scratch, single pass) vs one solve per
-    // set.
+    // the batch front door (deduplicated, fanned out over workers).
     let batch_feats: Vec<FeatureVector> = (0..8)
         .map(|i| {
             synthetic_feature(
@@ -388,14 +387,20 @@ fn bench_equilibrium(cfg: &Config) {
     let never = CancelToken::never();
     let (tb, nb) = measure(reps, || {
         for _ in 0..batch_iters.max(1) {
-            equilibrium::solve_batch_cancellable(&batch_sets, 16, SolverKind::Newton, 0, &never)
-                .into_iter()
-                .collect::<Result<Vec<_>, _>>()
-                .expect("batch solve");
+            equilibrium::solve_batch_cancellable(
+                &batch_sets,
+                16,
+                SolverKind::CurveInversion,
+                0,
+                &never,
+            )
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .expect("batch solve");
         }
         batch_iters.max(1) * batch_sets.len() as u64
     });
-    entries.push(entry("newton_batch_16x3", tb, nb, Some("solves/s"), reps));
+    entries.push(entry("inversion_batch_16x3", tb, nb, Some("solves/s"), reps));
 
     let (tf, nf) = measure(reps, || {
         for _ in 0..iters {

@@ -65,17 +65,11 @@ fn parse_args() -> Config {
             "--tiny" => cfg.tiny = true,
             "--chaos" => cfg.chaos = true,
             "--seed" => {
-                cfg.seed = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("mpmc-bench: --seed needs an integer");
-                    std::process::exit(2);
-                });
+                cfg.seed = option_value(&mut args, "--seed", "an integer")
+                    .parse()
+                    .unwrap_or_else(|_| usage_error("--seed needs an integer"));
             }
-            "--out" => {
-                cfg.out_dir = args.next().unwrap_or_else(|| {
-                    eprintln!("mpmc-bench: --out needs a directory");
-                    std::process::exit(2);
-                });
-            }
+            "--out" => cfg.out_dir = option_value(&mut args, "--out", "a directory"),
             other => {
                 eprintln!("mpmc-bench: unknown argument '{other}'");
                 std::process::exit(2);
@@ -83,6 +77,20 @@ fn parse_args() -> Config {
         }
     }
     cfg
+}
+
+/// The separate value of option `name`; a missing value, or another
+/// `--option` where the value belongs, is a usage error (exit 2).
+fn option_value(args: &mut impl Iterator<Item = String>, name: &str, what: &str) -> String {
+    match args.next() {
+        Some(v) if !v.starts_with("--") => v,
+        _ => usage_error(&format!("{name} needs {what}")),
+    }
+}
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("mpmc-bench: {message}");
+    std::process::exit(2);
 }
 
 fn synthetic_profile(name: &str, tail: f64, api: f64, m: &MachineConfig) -> ProcessProfile {

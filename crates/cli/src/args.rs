@@ -14,12 +14,14 @@ pub struct ParsedArgs {
 impl ParsedArgs {
     /// Parses `argv` (without the program/command name). `known_flags`
     /// lists the boolean switches; every other `--name` consumes the next
-    /// token as its value.
+    /// token as its value, unless that token is itself an option.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for a `--name` with a missing
-    /// value or a repeated option.
+    /// Returns a human-readable message naming the option for a `--name`
+    /// with a missing value, a `--name` followed by another `--option`
+    /// (write `--name=--value` for a value that starts with `--`), or a
+    /// repeated option.
     pub fn parse<I, S>(argv: I, known_flags: &[&str]) -> Result<Self, String>
     where
         I: IntoIterator<Item = S>,
@@ -42,6 +44,11 @@ impl ParsedArgs {
                     None => {
                         let v =
                             it.next().ok_or_else(|| format!("option --{name} needs a value"))?;
+                        if v.starts_with("--") {
+                            return Err(format!(
+                                "option --{name} needs a value, got the option '{v}'"
+                            ));
+                        }
                         (name.to_string(), v)
                     }
                 };
@@ -112,6 +119,18 @@ mod tests {
     #[test]
     fn missing_value_is_an_error() {
         assert!(ParsedArgs::parse(["--machine"], &[]).is_err());
+    }
+
+    #[test]
+    fn an_option_is_not_a_value() {
+        let err = ParsedArgs::parse(["--out", "--fast"], &["fast"]).unwrap_err();
+        assert!(err.contains("--out"), "{err}");
+        assert!(ParsedArgs::parse(["--out", "--machine", "duo"], &[]).is_err());
+        // The explicit form still takes any value, and a lone dash is a
+        // value.
+        let a = ParsedArgs::parse(["--out=--fast", "--seed", "-3"], &[]).unwrap();
+        assert_eq!(a.opt("out"), Some("--fast"));
+        assert_eq!(a.opt("seed"), Some("-3"));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use cmpsim::process::ProcessSpec;
 use cmpsim::trace::{miss_ratio_curve, stack_distance_histogram, Trace, TraceRecorder};
 use cmpsim::types::LineAddr;
 use mpmc_model::assignment::{Assignment, CombinedModel};
-use mpmc_model::equilibrium::{SolveOptions, SolverKind};
+use mpmc_model::equilibrium::SolverKind;
 use mpmc_model::perf::PerformanceModel;
 use mpmc_model::persist;
 use mpmc_model::power::{build_training_set, CorePowerModel, TrainingOptions};
@@ -193,7 +193,8 @@ pub fn profile(args: &ParsedArgs) -> Result<String, CliError> {
 
 /// `mpmc predict <spec> <spec> ...`
 ///
-/// Solves with the staged fallback chain and reports its diagnostics.
+/// Solves with the robust solver (validated curve inversion, falling back
+/// to the proportional split) and reports its diagnostics.
 /// Under `--strict`, any fallback or degraded result is a hard error
 /// (exit code 6) instead of a best-effort answer.
 ///
@@ -210,8 +211,7 @@ pub fn predict(args: &ParsedArgs) -> Result<String, CliError> {
         .iter()
         .map(|spec| resolve::feature(spec, &machine))
         .collect::<Result<_, _>>()?;
-    let model = PerformanceModel::new(machine.l2_assoc())
-        .with_solver(SolverKind::Robust(SolveOptions::default()));
+    let model = PerformanceModel::new(machine.l2_assoc()).with_solver(SolverKind::Robust);
     let eq = model.solve(&features).map_err(CliError::from)?;
     if args.flag("strict") && (eq.diagnostics.degraded || !eq.diagnostics.fallbacks.is_empty()) {
         return Err(CliError::strict(format!(

@@ -280,7 +280,7 @@ impl<'a, M: CorePowerModel> CombinedModel<'a, M> {
         self.eq_cache.stats()
     }
 
-    /// Fresh equilibrium solves that needed the fallback chain or came
+    /// Fresh equilibrium solves that fell back from their solver or came
     /// back degraded (service diagnostics).
     pub fn solver_fallbacks(&self) -> u64 {
         self.eq_cache.fallback_solves()

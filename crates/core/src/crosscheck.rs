@@ -17,7 +17,7 @@
 //! miss ratio; adding an idle process cannot change anyone's occupancy)
 //! and verify the model moves the right way.
 
-use crate::equilibrium::{self, Equilibrium, SolveOptions, SolverKind};
+use crate::equilibrium::{self, Equilibrium, SolverKind};
 use crate::feature::FeatureVector;
 use crate::histogram::ReuseHistogram;
 use crate::spi::SpiModel;
@@ -200,13 +200,13 @@ pub fn check_occupancy_invariants(f: &FeatureVector) -> Vec<Violation> {
     out
 }
 
-/// The robust chain at default budgets, the solver every check here runs.
+/// The robust solver (validated curve inversion), the one every check
+/// here runs.
 fn robust_equilibrium(
     features: &[&FeatureVector],
     assoc: usize,
 ) -> Result<Equilibrium, ModelError> {
-    let kind = SolverKind::Robust(SolveOptions::default());
-    equilibrium::solve_cancellable(features, assoc, kind, &CancelToken::never())
+    equilibrium::solve_cancellable(features, assoc, SolverKind::Robust, &CancelToken::never())
 }
 
 /// Checks that the equilibrium is independent of process ordering: the

@@ -178,13 +178,13 @@ impl EquilibriumCache {
         self.dies.lock(&key).insert(key, watts);
     }
 
-    /// Records that a fresh solve needed the fallback chain (or came
-    /// back degraded).
+    /// Records that a fresh solve fell back from its solver (or came back
+    /// degraded).
     pub fn note_fallback(&self) {
         self.fallback_solves.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Fresh solves that went through the fallback chain.
+    /// Fresh solves that fell back from their solver.
     pub fn fallback_solves(&self) -> u64 {
         self.fallback_solves.load(Ordering::Relaxed)
     }

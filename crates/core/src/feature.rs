@@ -142,18 +142,6 @@ impl FeatureVector {
         self.api / self.spi_at(s)
     }
 
-    /// `APS(s)` together with its local slope `d APS / d s`, composed
-    /// analytically from the histogram's slope table:
-    /// `APS = API / (α·MPA + β)` gives
-    /// `dAPS/ds = -API·α·MPA'(s) / SPI(s)²`. One suffix-sum lookup per
-    /// call; the fast Newton path uses this instead of finite differences.
-    pub fn aps_with_slope(&self, s: f64) -> (f64, f64) {
-        let (m, dm) = self.hist.mpa_with_slope(s);
-        let spi = self.spi.spi(m);
-        let aps = self.api / spi;
-        (aps, -self.api * self.spi.alpha() * dm / (spi * spi))
-    }
-
     /// The associativity the cached occupancy curve was built for.
     pub fn assoc(&self) -> usize {
         self.occupancy.max_ways()
@@ -260,21 +248,6 @@ mod tests {
         // More cache -> fewer misses -> faster -> more accesses per second.
         let fv = FeatureVector::from_workload(&SpecWorkload::Mcf.params(), &server()).unwrap();
         assert!(fv.aps_at(12.0) > fv.aps_at(2.0));
-    }
-
-    #[test]
-    fn aps_with_slope_matches_value_and_finite_difference() {
-        let fv = FeatureVector::from_workload(&SpecWorkload::Mcf.params(), &server()).unwrap();
-        for s in [0.3, 1.7, 4.4, 9.2] {
-            let (aps, daps) = fv.aps_with_slope(s);
-            assert!((aps - fv.aps_at(s)).abs() <= 1e-9 * fv.aps_at(s).abs());
-            let eps = 1e-6;
-            let fd = (fv.aps_at(s + eps) - fv.aps_at(s - eps)) / (2.0 * eps);
-            assert!(
-                (daps - fd).abs() <= 1e-4 * fd.abs().max(1.0),
-                "s={s}: analytic {daps} vs fd {fd}"
-            );
-        }
     }
 
     #[test]

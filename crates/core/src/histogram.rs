@@ -217,30 +217,6 @@ impl ReuseHistogram {
         self.tail[s.min(self.probs.len())]
     }
 
-    /// `MPA(s)` together with its local slope `d MPA / d s`, in one pass
-    /// over the cached suffix sums. The slope is the right-derivative of
-    /// the piecewise-linear interpolation (`mpa_int(floor+1) -
-    /// mpa_int(floor)`), and 0 beyond the histogram's depth where MPA has
-    /// saturated at `p_inf`. NaN propagates. Used by the fast Newton path
-    /// to build its analytic Jacobian without finite differencing.
-    pub fn mpa_with_slope(&self, s: f64) -> (f64, f64) {
-        if s.is_nan() {
-            return (f64::NAN, f64::NAN);
-        }
-        if s <= 0.0 {
-            return (1.0, 0.0);
-        }
-        let depth = self.probs.len();
-        let floor = s.floor() as usize;
-        if floor >= depth {
-            return (self.tail[depth], 0.0);
-        }
-        let frac = s - floor as f64;
-        let m0 = self.tail[floor];
-        let m1 = self.tail[floor + 1];
-        (m0 + (m1 - m0) * frac, m1 - m0)
-    }
-
     /// The MPA curve tabulated at integer sizes `0..=max_ways`, as a
     /// monotone piecewise-linear function usable by the solvers.
     ///
@@ -311,28 +287,6 @@ mod tests {
             assert!(m <= prev + 1e-12);
             prev = m;
         }
-    }
-
-    #[test]
-    fn mpa_with_slope_matches_value_and_segments() {
-        let h = simple();
-        for i in 0..=40 {
-            let s = i as f64 * 0.25;
-            let (m, dm) = h.mpa_with_slope(s);
-            assert!((m - h.mpa(s)).abs() < 1e-15, "s={s}");
-            if s > 0.0 && s < 3.0 && !mathkit::float::exactly_zero(s - s.floor()) {
-                let eps = 1e-9;
-                let fd = (h.mpa(s + eps) - h.mpa(s - eps)) / (2.0 * eps);
-                assert!((dm - fd).abs() < 1e-5, "s={s}: {dm} vs {fd}");
-            }
-        }
-        // Saturated region: slope exactly 0, value exactly p_inf.
-        let (m, dm) = h.mpa_with_slope(10.0);
-        assert_eq!(m, h.p_inf());
-        assert_eq!(dm, 0.0);
-        // NaN propagates instead of silently mapping to a finite value.
-        let (nm, nd) = h.mpa_with_slope(f64::NAN);
-        assert!(nm.is_nan() && nd.is_nan());
     }
 
     #[test]

@@ -62,13 +62,11 @@ pub struct OccupancyCurve {
     flat_inv: FlatInverse,
 }
 
-/// Dense, contiguous tables for inverting `G` with its local slope in one
-/// O(log n) lookup: strictly increasing occupancy knots `ys`, the access
-/// counts `xs` reaching them, and the precomputed per-segment slopes
-/// `d G⁻¹ / d S`. The fast Newton path queries this once per process per
-/// iteration; keeping the three arrays flat and separate (instead of
-/// re-deriving slopes from the piecewise-linear knots per call) is what
-/// lets the inner loop stay branch-light and cache-resident.
+/// Dense, contiguous tables for inverting `G`: strictly increasing
+/// occupancy knots `ys`, the access counts `xs` reaching them, and the
+/// precomputed per-segment slopes `d G⁻¹ / d S`. The curve-inversion
+/// equilibrium solver walks them segment by segment, so `G⁻¹` on a
+/// segment is one multiply-add with no division.
 #[derive(Debug, Clone)]
 struct FlatInverse {
     ys: Vec<f64>,
@@ -178,29 +176,13 @@ impl OccupancyCurve {
         self.curve.inverse_monotone(s).unwrap_or_else(|_| self.curve.domain().1)
     }
 
-    /// `G⁻¹(s)` together with the local inverse slope `d G⁻¹ / d S`, from
-    /// the precomputed flat tables. Saturating queries (at or beyond the
-    /// curve's reach on either side) report slope 0; NaN propagates.
-    ///
-    /// This is the fast-Newton variant of [`OccupancyCurve::g_inverse`]:
-    /// same saturation semantics, slope-table arithmetic instead of the
-    /// knot-ratio interpolation, so values may differ from `g_inverse` in
-    /// the last bits but are deterministic for a given curve.
-    pub fn g_inverse_with_slope(&self, s: f64) -> (f64, f64) {
-        if s.is_nan() {
-            return (f64::NAN, f64::NAN);
-        }
+    /// The inverse knots `(ys, xs, slopes)`: strictly increasing
+    /// occupancies, the access counts reaching them, and the slope
+    /// `d G⁻¹ / d S` of each segment between them. Flat runs of `G`
+    /// collapse to their leftmost knot, as in [`OccupancyCurve::g_inverse`].
+    pub(crate) fn inverse_knots(&self) -> (&[f64], &[f64], &[f64]) {
         let t = &self.flat_inv;
-        let n = t.ys.len();
-        if n < 2 || s <= t.ys[0] {
-            return (t.xs[0], 0.0);
-        }
-        if s > t.ys[n - 1] {
-            return (t.xs[n - 1], 0.0);
-        }
-        let idx = t.ys.partition_point(|&v| v < s).max(1);
-        let slope = t.slopes[idx - 1];
-        (t.xs[idx - 1] + (s - t.ys[idx - 1]) * slope, slope)
+        (&t.ys, &t.xs, &t.slopes)
     }
 
     /// The associativity this curve was built for.
@@ -296,13 +278,24 @@ mod tests {
         assert_eq!(g.g_inverse(7.0), g.n_max());
     }
 
+    /// `G⁻¹` read off the inverse knots, as the curve inversion does.
+    fn knot_inverse(g: &OccupancyCurve, s: f64) -> f64 {
+        let (ys, xs, slopes) = g.inverse_knots();
+        let k = ys.partition_point(|&v| v < s).clamp(1, ys.len() - 1);
+        xs[k - 1] + (s - ys[k - 1]) * slopes[k - 1]
+    }
+
     #[test]
-    fn flat_inverse_agrees_with_inverse_monotone() {
+    fn inverse_knots_agree_with_inverse_monotone() {
         let h = hist(vec![0.5, 0.2, 0.1], 0.2);
         let g = OccupancyCurve::from_histogram(&h, 16, Default::default()).unwrap();
+        let (ys, xs, slopes) = g.inverse_knots();
+        assert_eq!(xs.len(), ys.len());
+        assert_eq!(slopes.len() + 1, ys.len());
+        assert!(ys.windows(2).all(|w| w[0] < w[1]), "strictly increasing");
         for i in 0..=60 {
-            let s = i as f64 * 0.25;
-            let (fast, _) = g.g_inverse_with_slope(s);
+            let s = (i as f64 * 0.25).min(*ys.last().unwrap());
+            let fast = knot_inverse(&g, s);
             let slow = g.g_inverse(s);
             // Same segment, same endpoints: agreement to interpolation
             // round-off (the two use different but equivalent arithmetic).
@@ -312,11 +305,12 @@ mod tests {
     }
 
     #[test]
-    fn flat_inverse_slope_matches_finite_difference() {
+    fn inverse_knot_slopes_match_finite_difference() {
         let h = hist(vec![0.5, 0.2, 0.1], 0.2);
         let g = OccupancyCurve::from_histogram(&h, 16, Default::default()).unwrap();
+        let (ys, _, slopes) = g.inverse_knots();
         for s in [0.7, 2.3, 5.1, 9.9] {
-            let (_, slope) = g.g_inverse_with_slope(s);
+            let slope = slopes[ys.partition_point(|&v| v < s) - 1];
             let eps = 1e-7;
             let fd = (g.g_inverse(s + eps) - g.g_inverse(s - eps)) / (2.0 * eps);
             assert!(
@@ -324,20 +318,6 @@ mod tests {
                 "s={s}: slope {slope} vs fd {fd}"
             );
         }
-    }
-
-    #[test]
-    fn flat_inverse_saturates_with_zero_slope_and_propagates_nan() {
-        let h = hist(vec![0.7, 0.3], 0.0); // saturation ~2 ways
-        let g = OccupancyCurve::from_histogram(&h, 8, Default::default()).unwrap();
-        let (below, s_below) = g.g_inverse_with_slope(-1.0);
-        assert_eq!(below, 0.0);
-        assert_eq!(s_below, 0.0);
-        let (above, s_above) = g.g_inverse_with_slope(7.0);
-        assert!(above > 0.0);
-        assert_eq!(s_above, 0.0);
-        let (nan_v, nan_s) = g.g_inverse_with_slope(f64::NAN);
-        assert!(nan_v.is_nan() && nan_s.is_nan());
     }
 
     #[test]

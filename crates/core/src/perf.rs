@@ -173,14 +173,14 @@ mod tests {
     #[test]
     fn solver_kinds_agree() {
         let feats = vec![fv(SpecWorkload::Art), fv(SpecWorkload::Twolf)];
-        let b = PerformanceModel::new(16).predict(&feats).unwrap();
-        let n = PerformanceModel::new(16).with_solver(SolverKind::Newton).predict(&feats).unwrap();
-        let robust = SolverKind::Robust(crate::equilibrium::SolveOptions::default());
-        let r = PerformanceModel::new(16).with_solver(robust).predict(&feats).unwrap();
-        assert!((b[0].ways - n[0].ways).abs() < 0.05);
-        assert!((b[1].mpa - n[1].mpa).abs() < 0.01);
-        assert!((b[0].ways - r[0].ways).abs() < 0.05);
-        assert!((b[1].mpa - r[1].mpa).abs() < 0.01);
+        let default = PerformanceModel::new(16).predict(&feats).unwrap();
+        for kind in [SolverKind::Bisection, SolverKind::Robust] {
+            let p = PerformanceModel::new(16).with_solver(kind).predict(&feats).unwrap();
+            for (x, y) in default.iter().zip(&p) {
+                assert!((x.ways - y.ways).abs() < 1e-7, "{kind:?}");
+                assert!((x.mpa - y.mpa).abs() < 1e-7, "{kind:?}");
+            }
+        }
     }
 
     #[test]
@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn batch_matches_sequential_for_every_solver() {
-        use crate::equilibrium::{CorunSet, SolveOptions};
+        use crate::equilibrium::CorunSet;
         let a = fv(SpecWorkload::Mcf);
         let b = fv(SpecWorkload::Gzip);
         let c = fv(SpecWorkload::Art);
@@ -214,8 +214,7 @@ mod tests {
             CorunSet { features: vec![&a, &c, &d] },
             CorunSet { features: vec![&wrong, &c] }, // duplicate of a failed set
         ];
-        let robust = SolverKind::Robust(SolveOptions::default());
-        for kind in [SolverKind::Bisection, SolverKind::Newton, robust] {
+        for kind in [SolverKind::CurveInversion, SolverKind::Bisection, SolverKind::Robust] {
             let model = PerformanceModel::new(16).with_solver(kind);
             let batch = model.solve_batch_cancellable(&sets, 2, &CancelToken::never());
             assert_eq!(batch.len(), sets.len(), "{kind:?}");

@@ -23,7 +23,7 @@
 use crate::harness::{self, RunScale};
 use cmpsim::machine::MachineConfig;
 use mpmc_model::crosscheck;
-use mpmc_model::equilibrium::{SolveOptions, SolverKind};
+use mpmc_model::equilibrium::SolverKind;
 use mpmc_model::feature::FeatureVector;
 use mpmc_model::perf::PerformanceModel;
 use mpmc_model::ModelError;
@@ -322,9 +322,8 @@ pub fn run(cfg: &DiffConfig) -> Result<ValidationReport, ModelError> {
         .collect::<Result<_, _>>()?;
 
     let mixes = mix_list(suite.len(), cfg.max_mixes);
-    let bisect = PerformanceModel::new(assoc);
-    let robust =
-        PerformanceModel::new(assoc).with_solver(SolverKind::Robust(SolveOptions::default()));
+    let bisect = PerformanceModel::new(assoc).with_solver(SolverKind::Bisection);
+    let robust = PerformanceModel::new(assoc).with_solver(SolverKind::Robust);
 
     // Simulate every mix (placement: one process per core, first die).
     let placements: Vec<harness::IndexPlacement> = mixes

@@ -6,7 +6,6 @@
 //! - [`matrix`]: small dense row-major matrices and vector helpers.
 //! - [`decomp`]: Householder QR factorization and least-squares solving.
 //! - [`linreg`]: multi-variable linear regression (the paper's MVLR).
-//! - [`newton`]: damped multivariate Newton–Raphson with a numeric Jacobian.
 //! - [`roots`]: robust 1-D root bracketing and bisection.
 //! - [`nn`]: a three-layer sigmoid-activation neural network (the power
 //!   model alternative the paper evaluates and rejects).
@@ -55,7 +54,6 @@ pub mod latency;
 pub mod linreg;
 pub mod lru;
 pub mod matrix;
-pub mod newton;
 pub mod nn;
 pub mod parallel;
 pub mod roots;

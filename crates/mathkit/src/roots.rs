@@ -1,8 +1,8 @@
 //! Robust 1-D root finding.
 //!
-//! The performance model needs guaranteed-convergent scalar solves in two
-//! places: inverting the monotone occupancy function `G(n)` and the outer
-//! solve on the shared cache window `T` in the fallback equilibrium solver.
+//! The performance model needs guaranteed-convergent scalar solves in the
+//! bisection equilibrium oracle: the inner occupancy solve
+//! `S = G(APS(S)·T)` and the outer solve on the shared cache window `T`.
 //! Bisection (optionally accelerated with secant steps, i.e. a simplified
 //! Brent scheme) is used because the functions involved are monotone but
 //! only piecewise smooth.
@@ -208,97 +208,6 @@ pub fn bisect_expanding_cancellable<F: FnMut(f64) -> f64>(
     bisect_cancellable(f, a, b, opts, cancel)
 }
 
-/// Options controlling a damped fixed-point iteration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FixedPointOptions {
-    /// Convergence tolerance on `|g(x) - x|`.
-    pub tol: f64,
-    /// Maximum number of iterations.
-    pub max_iter: usize,
-    /// Damping factor in `(0, 1]`: the update is `x + damping * (g(x) - x)`.
-    pub damping: f64,
-}
-
-impl Default for FixedPointOptions {
-    fn default() -> Self {
-        FixedPointOptions { tol: 1e-9, max_iter: 500, damping: 0.5 }
-    }
-}
-
-/// Result of a converged fixed-point iteration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FixedPointSolution {
-    /// The fixed point.
-    pub x: f64,
-    /// `|g(x) - x|` at the returned point.
-    pub residual: f64,
-    /// Iterations performed.
-    pub iterations: usize,
-}
-
-/// Solves `x = g(x)` on `[lo, hi]` by damped iteration with a hard budget.
-///
-/// Every iterate is clamped back into `[lo, hi]`, so the iteration cannot
-/// escape the domain even when `g` overshoots. Damping below 1 turns many
-/// oscillating maps into contractions; the equilibrium fallback solver uses
-/// this for the per-process occupancy fixed point `S = G(APS(S) · T)`.
-///
-/// # Errors
-///
-/// - [`MathError::InvalidArgument`] if the bounds or options are malformed.
-/// - [`MathError::NonFinite`] if `g` returns NaN/infinity at any iterate.
-/// - [`MathError::NoConvergence`] if the budget runs out first.
-pub fn fixed_point<F: FnMut(f64) -> f64>(
-    g: F,
-    x0: f64,
-    lo: f64,
-    hi: f64,
-    opts: FixedPointOptions,
-) -> Result<FixedPointSolution, MathError> {
-    fixed_point_cancellable(g, x0, lo, hi, opts, &CancelToken::never())
-}
-
-/// [`fixed_point`] with a cooperative cancellation point at the top of
-/// every iteration.
-///
-/// # Errors
-///
-/// Everything [`fixed_point`] returns, plus [`MathError::Cancelled`] once
-/// `cancel` fires.
-pub fn fixed_point_cancellable<F: FnMut(f64) -> f64>(
-    mut g: F,
-    x0: f64,
-    lo: f64,
-    hi: f64,
-    opts: FixedPointOptions,
-    cancel: &CancelToken,
-) -> Result<FixedPointSolution, MathError> {
-    if !lo.is_finite() || !hi.is_finite() || lo > hi {
-        return Err(MathError::InvalidArgument(format!("fixed-point bounds [{lo}, {hi}]")));
-    }
-    if !(opts.damping > 0.0 && opts.damping <= 1.0) {
-        return Err(MathError::InvalidArgument(format!("damping {} not in (0, 1]", opts.damping)));
-    }
-    if !x0.is_finite() {
-        return Err(MathError::NonFinite("fixed-point starting value".into()));
-    }
-    let mut x = x0.clamp(lo, hi);
-    let mut residual = f64::INFINITY;
-    for iter in 0..opts.max_iter {
-        cancel.check()?;
-        let gx = g(x);
-        if !gx.is_finite() {
-            return Err(MathError::NonFinite(format!("g({x}) at fixed-point iteration {iter}")));
-        }
-        residual = (gx - x).abs();
-        if residual <= opts.tol {
-            return Ok(FixedPointSolution { x, residual, iterations: iter });
-        }
-        x = (x + opts.damping * (gx - x)).clamp(lo, hi);
-    }
-    Err(MathError::NoConvergence { iterations: opts.max_iter, residual })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,44 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_point_converges_on_contraction() {
-        // x = cos(x) has the Dottie number as its unique fixed point.
-        let sol = fixed_point(|x| x.cos(), 1.0, 0.0, 2.0, FixedPointOptions::default()).unwrap();
-        assert!((sol.x - 0.739_085_13).abs() < 1e-6, "{sol:?}");
-        assert!(sol.residual <= 1e-9);
-    }
-
-    #[test]
-    fn fixed_point_damping_tames_oscillation() {
-        // x = 4 - x oscillates forever undamped; damping finds x = 2.
-        let opts = FixedPointOptions { damping: 0.5, ..Default::default() };
-        let sol = fixed_point(|x| 4.0 - x, 0.0, 0.0, 10.0, opts).unwrap();
-        assert!((sol.x - 2.0).abs() < 1e-8, "{sol:?}");
-    }
-
-    #[test]
-    fn fixed_point_respects_budget() {
-        let opts = FixedPointOptions { max_iter: 3, damping: 1e-3, ..Default::default() };
-        let r = fixed_point(|x| 4.0 - x, 0.0, 0.0, 10.0, opts);
-        assert!(matches!(r, Err(MathError::NoConvergence { iterations: 3, .. })), "{r:?}");
-    }
-
-    #[test]
-    fn fixed_point_nan_map_is_typed_error() {
-        let r = fixed_point(|_| f64::NAN, 1.0, 0.0, 2.0, FixedPointOptions::default());
-        assert!(matches!(r, Err(MathError::NonFinite(_))), "{r:?}");
-    }
-
-    #[test]
-    fn fixed_point_rejects_bad_inputs() {
-        let opts = FixedPointOptions::default();
-        assert!(fixed_point(|x| x, 1.0, 2.0, 0.0, opts).is_err());
-        assert!(fixed_point(|x| x, f64::NAN, 0.0, 2.0, opts).is_err());
-        let bad = FixedPointOptions { damping: 0.0, ..opts };
-        assert!(fixed_point(|x| x, 1.0, 0.0, 2.0, bad).is_err());
-    }
-
-    #[test]
     fn cancelled_token_stops_every_solver() {
         use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
@@ -403,15 +274,6 @@ mod tests {
             &fired,
         );
         assert_eq!(e.unwrap_err(), MathError::Cancelled);
-        let f = fixed_point_cancellable(
-            |x| x.cos(),
-            1.0,
-            0.0,
-            2.0,
-            FixedPointOptions::default(),
-            &fired,
-        );
-        assert_eq!(f.unwrap_err(), MathError::Cancelled);
     }
 
     #[test]
@@ -421,18 +283,6 @@ mod tests {
         let cancl = bisect_cancellable(|x| x * x - 2.0, 0.0, 2.0, BisectOptions::default(), &never)
             .unwrap();
         assert_eq!(plain.to_bits(), cancl.to_bits());
-        let p = fixed_point(|x| x.cos(), 1.0, 0.0, 2.0, FixedPointOptions::default()).unwrap();
-        let c = fixed_point_cancellable(
-            |x| x.cos(),
-            1.0,
-            0.0,
-            2.0,
-            FixedPointOptions::default(),
-            &never,
-        )
-        .unwrap();
-        assert_eq!(p.x.to_bits(), c.x.to_bits());
-        assert_eq!(p.iterations, c.iterations);
     }
 
     #[test]

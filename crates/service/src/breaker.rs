@@ -156,8 +156,8 @@ impl CircuitBreaker {
     }
 
     /// Records the outcome of an exact or probe solve (`failed` = the
-    /// solve errored, was cancelled by its deadline, or needed the
-    /// fallback chain).
+    /// solve errored, was cancelled by its deadline, or fell back to the
+    /// proportional split).
     pub fn record(&self, failed: bool) {
         let mut st = self.lock();
         match &mut *st {

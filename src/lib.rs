@@ -13,7 +13,7 @@
 //! - [`workloads`]: synthetic SPEC-CPU2000-like workloads, the profiling
 //!   stressmark, and the power-training microbenchmark.
 //! - [`math`] (`mathkit`): the numerical substrate (QR least squares, MVLR,
-//!   Newton–Raphson, a sigmoid neural network).
+//!   bisection, a sigmoid neural network).
 //!
 //! # Quickstart
 //!

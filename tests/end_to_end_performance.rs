@@ -75,20 +75,21 @@ fn profile_predict_measure_pipeline() {
 }
 
 #[test]
-fn newton_and_bisection_agree_on_profiled_features() {
+fn curve_inversion_and_bisection_agree_on_profiled_features() {
     let machine = tiny_machine();
     let profiler = Profiler::new(machine.clone()).with_options(quick_profile());
     let a = profiler.profile(&SpecWorkload::Art.params()).unwrap();
     let b = profiler.profile(&SpecWorkload::Twolf.params()).unwrap();
 
-    let bis = PerformanceModel::new(8).predict(&[&a, &b]).unwrap();
-    let newt = PerformanceModel::new(8).with_solver(SolverKind::Newton).predict(&[&a, &b]).unwrap();
+    let bis =
+        PerformanceModel::new(8).with_solver(SolverKind::Bisection).predict(&[&a, &b]).unwrap();
+    let inv = PerformanceModel::new(8).predict(&[&a, &b]).unwrap();
     for i in 0..2 {
         assert!(
-            (bis[i].ways - newt[i].ways).abs() < 0.1,
+            (bis[i].ways - inv[i].ways).abs() < 1e-7,
             "solver disagreement: {} vs {}",
             bis[i].ways,
-            newt[i].ways
+            inv[i].ways
         );
     }
 }

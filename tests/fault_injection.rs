@@ -2,15 +2,16 @@
 //!
 //! Every fault a [`cmpsim::faults::FaultPlan`] can inject — corrupted
 //! trace files, scrambled persisted profiles, NaN/negative histogram
-//! mass, dropped measurement samples, starved solver budgets — must
-//! surface as a typed [`ModelError`] or a degraded-but-finite
-//! prediction. A panic anywhere in these tests is a bug.
+//! mass, dropped measurement samples, a window the solver cannot
+//! bracket — must surface as a typed [`ModelError`] or a
+//! degraded-but-finite prediction. A panic anywhere in these tests is a
+//! bug.
 
 use cmpsim::faults::{Fault, FaultPlan};
-use mpmc::math::sync::CancelToken;
-use mpmc::model::equilibrium::{self, SolveMethod, SolveOptions, SolverKind};
+use mpmc::model::equilibrium::{self, SolveMethod, SolverKind};
 use mpmc::model::feature::FeatureVector;
 use mpmc::model::histogram::ReuseHistogram;
+use mpmc::model::perf::PerformanceModel;
 use mpmc::model::persist;
 use mpmc::model::spi::SpiModel;
 use mpmc::model::ModelError;
@@ -155,49 +156,118 @@ fn dropped_samples_never_panic() {
     }
 }
 
-/// A starved solver budget walks the fallback chain and still returns a
-/// finite, capacity-respecting answer with the fallbacks on record.
+/// A profile whose API is one denormal step validates, but its window
+/// `T = G⁻¹·SPI/API` overflows: the curve inversion fails typed, and the
+/// robust solver `mpmc predict` runs degrades to the proportional split,
+/// flagged, instead of failing.
 #[test]
-fn starved_solver_budget_degrades_gracefully() {
+fn solver_error_degrades_predict_to_proportional_share() {
     let machine = MachineConfig::four_core_server();
     let assoc = machine.l2_assoc();
-    let features: Vec<FeatureVector> = [SpecWorkload::Mcf, SpecWorkload::Art, SpecWorkload::Gzip]
+    let mut features: Vec<FeatureVector> = [SpecWorkload::Mcf, SpecWorkload::Art]
         .iter()
         .map(|w| FeatureVector::from_workload(&w.params(), &machine).expect("built-in"))
         .collect();
+    let gzip = FeatureVector::from_workload(&SpecWorkload::Gzip.params(), &machine).expect("gzip");
+    let starved = FeatureVector::new(
+        "denormal-api",
+        gzip.histogram().clone(),
+        f64::from_bits(1),
+        *gzip.spi_model(),
+        assoc,
+    )
+    .expect("a denormal API is in [0, 1]");
+    mpmc::model::validate::feature_vector(&starved).expect("passes input validation");
+    features.push(starved);
     let refs: Vec<&FeatureVector> = features.iter().collect();
 
-    // Newton cannot converge to tol = 0; the chain must move on.
-    let opts =
-        SolveOptions { tol: 0.0, max_newton_iter: 2, newton_retries: 1, ..SolveOptions::default() };
-    let eq = equilibrium::solve_cancellable(
-        &refs,
-        assoc,
-        SolverKind::Robust(opts),
-        &CancelToken::never(),
-    )
-    .expect("chain never fails");
-    assert!(!eq.diagnostics.fallbacks.is_empty(), "expected recorded fallbacks");
+    let exact = PerformanceModel::new(assoc).solve(&refs);
+    assert!(matches!(exact, Err(ModelError::EquilibriumFailed(_))), "{exact:?}");
+
+    let eq = PerformanceModel::new(assoc)
+        .with_solver(SolverKind::Robust)
+        .solve(&refs)
+        .expect("the robust solver never fails on valid inputs");
+    assert_eq!(eq.diagnostics.method, SolveMethod::ProportionalShare);
+    assert!(eq.diagnostics.degraded);
+    let stages: Vec<SolveMethod> = eq.diagnostics.fallbacks.iter().map(|f| f.stage).collect();
+    assert_eq!(stages, [SolveMethod::CurveInversion]);
     let total: f64 = eq.sizes.iter().sum();
-    assert!((total - assoc as f64).abs() < 1e-2 * assoc as f64, "sum of ways {total}");
+    assert!((total - assoc as f64).abs() < 1e-9, "sum of ways {total}");
     for i in 0..refs.len() {
         assert!(eq.sizes[i].is_finite() && eq.spis[i].is_finite() && eq.spis[i] > 0.0);
     }
+    assert!(eq.diagnostics.summary().contains("DEGRADED"));
+    // The fallback is exactly the serving breaker's no-solve split.
+    let direct = equilibrium::solve_proportional(&refs, assoc).expect("valid inputs");
+    for (x, y) in eq.sizes.iter().zip(&direct.sizes) {
+        assert_eq!(x.to_bits(), y.to_bits());
+    }
+}
 
-    // No budget at all (Newton cannot converge, fixed point skipped):
-    // the heuristic last resort, flagged degraded.
-    let opts =
-        SolveOptions { tol: 0.0, max_newton_iter: 2, newton_retries: 0, max_fixed_point_iter: 0 };
-    let eq = equilibrium::solve_cancellable(
-        &refs,
-        assoc,
-        SolverKind::Robust(opts),
-        &CancelToken::never(),
-    )
-    .expect("chain never fails");
-    assert_eq!(eq.diagnostics.method, SolveMethod::ProportionalShare);
-    assert!(eq.diagnostics.degraded);
-    let total: f64 = eq.sizes.iter().sum();
-    assert!((total - assoc as f64).abs() < 1e-9);
-    assert!(eq.spis.iter().all(|s| s.is_finite()));
+/// Features that survive fault injection — profiles read back from
+/// scrambled files, histograms measured on corrupted and truncated
+/// traces, SPI lines fitted to thinned samples — are solved by the
+/// default curve inversion exactly as by the bisection oracle.
+#[test]
+fn fault_injected_features_solve_like_the_oracle() {
+    let machine = MachineConfig::four_core_server();
+    let assoc = machine.l2_assoc();
+    let mcf = FeatureVector::from_workload(&SpecWorkload::Mcf.params(), &machine).expect("mcf");
+    let mut survivors: Vec<FeatureVector> = Vec::new();
+
+    let text = serialized_feature();
+    for seed in 0..30u64 {
+        let corrupted =
+            FaultPlan::new(seed).with(Fault::ScrambleText { bytes: 8 }).corrupt_text(&text);
+        if let Ok(fv) = persist::read_feature(corrupted.as_bytes()) {
+            if mpmc::model::validate::feature_vector(&fv).is_ok() && fv.assoc() == assoc {
+                survivors.push(fv);
+            }
+        }
+    }
+    for (seed, rate) in [(3u64, 0.1), (11, 0.5), (19, 0.9)] {
+        let mut trace = sample_trace(4000);
+        FaultPlan::new(seed)
+            .with(Fault::CorruptTraceAddresses { rate })
+            .with(Fault::TruncateTrace { keep_fraction: 0.7 })
+            .apply_to_trace(&mut trace);
+        let addrs: Vec<LineAddr> = trace.accesses().collect();
+        let counts = stack_distance_histogram(&addrs, 16);
+        let n = addrs.len() as f64;
+        let probs: Vec<f64> = counts.iter().map(|&c| c as f64 / n).collect();
+        let p_inf = (1.0 - probs.iter().sum::<f64>()).max(0.0);
+        let hist = ReuseHistogram::new(probs, p_inf).expect("counts normalize");
+        survivors.push(
+            FeatureVector::new(format!("trace-{seed}"), hist, 0.02, *mcf.spi_model(), assoc)
+                .expect("trace feature"),
+        );
+    }
+    for rate in [0.5, 0.9] {
+        let mut pts: Vec<(f64, f64)> =
+            (0..40).map(|i| (i as f64 / 40.0, 2e-6 * i as f64 / 40.0 + 5e-8)).collect();
+        FaultPlan::new(17).with(Fault::DropSamples { rate }).apply_to_samples(&mut pts);
+        if let Ok(spi) = SpiModel::fit(&pts) {
+            survivors.push(
+                FeatureVector::new("thinned", mcf.histogram().clone(), 0.03, spi, assoc)
+                    .expect("thinned feature"),
+            );
+        }
+    }
+    assert!(survivors.len() >= 5, "only {} survivors", survivors.len());
+
+    let partners: Vec<FeatureVector> = [SpecWorkload::Gzip, SpecWorkload::Art]
+        .iter()
+        .map(|w| FeatureVector::from_workload(&w.params(), &machine).expect("built-in"))
+        .collect();
+    for f in &survivors {
+        for set in [vec![f, &partners[0]], vec![f, &partners[0], &partners[1]]] {
+            let oracle = equilibrium::solve(&set, assoc).expect("oracle");
+            let inv = PerformanceModel::new(assoc).solve(&set).expect("curve inversion");
+            assert_eq!(oracle.cache_filled, inv.cache_filled, "{}", f.name());
+            for (x, y) in oracle.sizes.iter().zip(&inv.sizes) {
+                assert!((x - y).abs() < 1e-7, "{}: oracle {x} vs inversion {y}", f.name());
+            }
+        }
+    }
 }

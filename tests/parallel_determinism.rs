@@ -217,7 +217,7 @@ fn candidate_estimation_matches_sequential_loop() {
 fn solve_batch_matches_sequential_for_all_worker_counts() {
     use mpmc::math::sync::CancelToken;
     use mpmc::model::equilibrium::CorunSet;
-    use mpmc::model::equilibrium::{SolveOptions, SolverKind};
+    use mpmc::model::equilibrium::SolverKind;
     use mpmc::model::perf::PerformanceModel;
 
     let machine = MachineConfig::four_core_server();
@@ -247,12 +247,20 @@ fn solve_batch_matches_sequential_for_all_worker_counts() {
     let scrambled: Vec<CorunSet<'_>> =
         scramble.iter().map(|&i| CorunSet { features: sets[i].features.clone() }).collect();
 
-    for kind in
-        [SolverKind::Bisection, SolverKind::Newton, SolverKind::Robust(SolveOptions::default())]
-    {
+    for kind in [SolverKind::CurveInversion, SolverKind::Bisection, SolverKind::Robust] {
         let model = PerformanceModel::new(machine.l2_assoc()).with_solver(kind);
         let sequential: Vec<_> =
             sets.iter().map(|s| model.solve(&s.features).expect("sequential solve")).collect();
+        // Cold versus after other solves: a solve carries no state into
+        // the next one, so re-solving in reverse order after the whole
+        // sequence gives the same bits.
+        for (i, s) in sets.iter().enumerate().rev() {
+            let again = model.solve(&s.features).expect("repeat solve");
+            assert_eq!(again.window.to_bits(), sequential[i].window.to_bits(), "{kind:?} {i}");
+            for (x, y) in again.sizes.iter().zip(&sequential[i].sizes) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{kind:?} repeat set {i}");
+            }
+        }
         for workers in WORKER_COUNTS {
             let batch = model
                 .solve_batch_cancellable(&sets, workers, &CancelToken::never())

@@ -102,6 +102,41 @@ proptest! {
     }
 
     #[test]
+    fn curve_inversion_agrees_with_bisection_oracle(
+        hists in proptest::collection::vec(histogram_strategy(14), 2..=4),
+        apis in proptest::collection::vec(0.002f64..0.05, 4),
+        assoc_pick in 0usize..3,
+    ) {
+        use mpmc::model::equilibrium::SolverKind;
+        let assoc = [8usize, 12, 16][assoc_pick];
+        let features: Vec<FeatureVector> = hists
+            .iter()
+            .zip(&apis)
+            .enumerate()
+            .map(|(i, (hist, &api))| {
+                let spi = SpiModel::new(2e-6 * api, 5e-8).unwrap();
+                FeatureVector::new(format!("p{i}"), hist.clone(), api, spi, assoc).unwrap()
+            })
+            .collect();
+        let refs: Vec<&FeatureVector> = features.iter().collect();
+        let inv = equilibrium::solve_cancellable(
+            &refs, assoc, SolverKind::CurveInversion, &mpmc::math::sync::CancelToken::never(),
+        );
+        prop_assert!(inv.is_ok(), "{:?}", inv.err());
+        let inv = inv.unwrap();
+        // The oracle's outer bisection cannot converge where a dipping
+        // response curve makes Σ S_i jump across A; agreement is checked
+        // wherever the oracle answers.
+        let Ok(oracle) = equilibrium::solve(&refs, assoc) else {
+            return Ok(());
+        };
+        prop_assert_eq!(oracle.cache_filled, inv.cache_filled);
+        for (x, y) in oracle.sizes.iter().zip(&inv.sizes) {
+            prop_assert!((x - y).abs() < 1e-7, "oracle {} vs inversion {}", x, y);
+        }
+    }
+
+    #[test]
     fn solve_batch_is_bit_identical_to_sequential_solves(
         hists in proptest::collection::vec(histogram_strategy(10), 3..=5),
         apis in proptest::collection::vec(0.002f64..0.05, 5),
@@ -109,7 +144,7 @@ proptest! {
         scramble_seed in 0u64..1000,
     ) {
         use mpmc::model::equilibrium::CorunSet;
-        use mpmc::model::equilibrium::{SolveOptions, SolverKind};
+        use mpmc::model::equilibrium::SolverKind;
         use mpmc::model::perf::PerformanceModel;
 
         let assoc = 16usize;
@@ -142,7 +177,7 @@ proptest! {
             .iter()
             .map(|idxs| CorunSet { features: idxs.iter().map(|&i| &features[i]).collect() })
             .collect();
-        for kind in [SolverKind::Bisection, SolverKind::Newton, SolverKind::Robust(SolveOptions::default())] {
+        for kind in [SolverKind::CurveInversion, SolverKind::Bisection, SolverKind::Robust] {
             let model = PerformanceModel::new(assoc).with_solver(kind);
             let batch = model
                 .solve_batch_cancellable(&corun, workers, &mpmc::math::sync::CancelToken::never())
@@ -184,7 +219,7 @@ proptest! {
             features.push(FeatureVector::new(name, hist, api, spi, assoc).unwrap());
         }
         let refs: Vec<&FeatureVector> = features.iter().collect();
-        let robust = equilibrium::SolverKind::Robust(equilibrium::SolveOptions::default());
+        let robust = equilibrium::SolverKind::Robust;
         let eq = equilibrium::solve_cancellable(
             &refs, assoc, robust, &mpmc::math::sync::CancelToken::never(),
         )
